@@ -15,7 +15,7 @@ test-storage:
 
 ## The concurrency suite alone: the lock-manager units, the multi-threaded
 ## stress tests (lost updates, torn reads, triggers under contention) and the
-## asyncio server tests (incl. 50 concurrent clients + graceful shutdown).
+## HTTP server tests (incl. 50 concurrent clients + graceful shutdown).
 test-concurrency:
 	$(PYTHON) -m pytest tests/tx tests/integration/test_concurrency_stress.py tests/server -q
 
@@ -119,7 +119,7 @@ incremental-triggers-demo:
 contact-tracing-demo:
 	$(PYTHON) examples/contact_tracing.py
 
-## Start the asyncio HTTP/JSON server on port 7688 (in-memory graphs; pass
+## Start the thread-per-connection HTTP/JSON server on port 7688 (in-memory graphs; pass
 ## SERVE_ARGS='--path data --port 7688' etc. for durable storage).
 serve:
 	$(PYTHON) -m repro.server $(SERVE_ARGS)

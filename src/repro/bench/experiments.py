@@ -953,24 +953,22 @@ def perf_concurrency(
 ) -> ExperimentResult:
     """P10 — HTTP throughput at N concurrent clients, triggers firing.
 
-    A thread-safe database behind the asyncio server, one audit trigger
-    installed.  Keep-alive clients issue requests in lockstep-free loops:
+    A thread-safe database behind the thread-per-connection server, one
+    audit trigger installed.  Keep-alive clients issue requests in
+    lockstep-free loops:
 
-    * **reads** are snapshot reads — they share the graph's read lock, so
-      aggregate throughput *scales* with client count: one client is
-      bound by the request round-trip (client → event loop → executor
-      thread → back), while N clients keep the pipeline full;
+    * **reads** are snapshot reads — they share the graph's read lock and
+      each runs on its connection's own thread, so N clients overlap
+      wherever a round trip waits (socket I/O, the client's turn); the
+      CPU-bound part still runs one thread at a time under the GIL, so
+      aggregate throughput grows by that idle fraction, not by N;
     * **writes** serialise on the exclusive write lock (every one fires
       the trigger), so their aggregate throughput stays roughly flat —
       reported here as the contrast case.
 
-    The accompanying benchmark asserts the read-scaling acceptance bar
-    (≥2x aggregate throughput from 1 to 8 clients) whenever the host
-    exposes ≥2 CPUs.  On a single-CPU host every byte of client and
-    server work serialises on one core, so aggregate scaling beyond the
-    idle fraction of the round-trip is physically impossible; the
-    experiment still runs, reports the measured factor and the CPU
-    count, and the benchmark falls back to a no-collapse bound.
+    The experiment reports the measured 1 → N read factor and the CPU
+    count in its notes; the accompanying benchmark asserts only that
+    concurrency does not *collapse* read throughput.
     """
     import http.client
     import json as _json
@@ -1044,7 +1042,7 @@ def perf_concurrency(
         return clients * count / elapsed
 
     def warm_up() -> None:
-        """Fill the plan cache and spin up executor threads before timing."""
+        """Fill the plan cache before timing."""
         connection = http.client.HTTPConnection(handle.host, handle.port, timeout=60)
         for body in (read_body, write_body):
             for _ in range(3):

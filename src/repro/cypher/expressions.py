@@ -16,6 +16,7 @@ for deleted items (so DELETE-event triggers can still inspect ``OLD``).
 from __future__ import annotations
 
 import datetime as _dt
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Optional
 
@@ -257,15 +258,23 @@ def _evaluate_binary(expr: BinaryOp, row, context) -> Any:
     if op == "*":
         return left * right
     if op == "/":
-        if right == 0:
-            raise CypherRuntimeError("division by zero")
         if isinstance(left, int) and isinstance(right, int):
+            if right == 0:
+                raise CypherRuntimeError("division by zero")
             # openCypher integer division truncates toward zero.
             return int(left / right)
+        if right == 0:
+            # Floats follow IEEE 754, as in openCypher: 0/0 is NaN,
+            # anything else a signed infinity.
+            if left == 0 or left != left:
+                return math.nan
+            return math.copysign(math.inf, left) * math.copysign(1.0, right)
         return left / right
     if op == "%":
         if right == 0:
-            raise CypherRuntimeError("division by zero")
+            if isinstance(left, int) and isinstance(right, int):
+                raise CypherRuntimeError("division by zero")
+            return math.nan
         return left % right
     if op == "^":
         return float(left) ** float(right)

@@ -5,20 +5,19 @@ See :mod:`repro.server.app` for the protocol description.  Quick start::
     from repro.database import GraphDatabase
     from repro.server import run_in_thread
 
-    handle = run_in_thread(GraphDatabase(thread_safe=True))
-    print(handle.address)   # e.g. http://127.0.0.1:54321
+    server = run_in_thread(GraphDatabase(thread_safe=True))
+    print(server.address)   # e.g. http://127.0.0.1:54321
     ...
-    handle.stop()           # graceful: drains, flushes, checkpoints
+    server.stop()           # graceful: drains, flushes, checkpoints
 
 Or from a shell: ``python -m repro.server --port 7688 --path ./data``.
 """
 
-from .app import DatabaseServer, ServerHandle, run_in_thread
+from .app import DatabaseServer, run_in_thread
 from .wire import record_to_wire, to_wire
 
 __all__ = [
     "DatabaseServer",
-    "ServerHandle",
     "run_in_thread",
     "record_to_wire",
     "to_wire",

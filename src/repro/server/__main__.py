@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import argparse
-import asyncio
 import contextlib
+import threading
 
 from ..database import GraphDatabase
 from .app import DatabaseServer
@@ -29,7 +29,6 @@ def main(argv: list[str] | None = None) -> None:
         help="seconds before a queued statement gives up with 503 (default 30)",
     )
     parser.add_argument("--max-connections", type=int, default=128)
-    parser.add_argument("--workers", type=int, default=8)
     args = parser.parse_args(argv)
 
     database = GraphDatabase(
@@ -40,20 +39,12 @@ def main(argv: list[str] | None = None) -> None:
         host=args.host,
         port=args.port,
         max_connections=args.max_connections,
-        workers=args.workers,
     )
-
-    async def serve() -> None:
-        await server.start()
+    with contextlib.suppress(KeyboardInterrupt), server:
         print(f"serving on {server.address} (Ctrl-C for graceful shutdown)")
-        stopped = asyncio.Event()
-        try:
-            await stopped.wait()
-        finally:
-            await server.stop()
-
-    with contextlib.suppress(KeyboardInterrupt):
-        asyncio.run(serve())
+        # Connections are served on background threads; this one only
+        # waits for SIGINT (other signal handlers return into the wait).
+        threading.Event().wait()
 
 
 if __name__ == "__main__":

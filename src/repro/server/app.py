@@ -1,11 +1,13 @@
-"""An asyncio HTTP/JSON front door for a :class:`~repro.database.GraphDatabase`.
+"""A blocking HTTP/JSON front door for a :class:`~repro.database.GraphDatabase`.
 
 The server is deliberately dependency-free: a small hand-rolled HTTP/1.1
-implementation on top of ``asyncio.start_server`` with keep-alive support.
-The engine itself is synchronous, so every request body is executed on a
-thread-pool executor; the database **must** be thread-safe (constructed
-with ``thread_safe=True``) — its per-graph lock manager is what makes
-concurrent requests sound.
+implementation on plain sockets with keep-alive support.  One thread
+accepts, and every connection gets a thread of its own that reads a
+request, executes it against the (synchronous) engine and sends the reply
+— there is no event loop and no worker pool between the socket and
+``session.run``.  The database **must** be thread-safe (constructed with
+``thread_safe=True``): its per-graph lock manager is the one mechanism
+that makes concurrent requests sound.
 
 Endpoints (all responses are JSON):
 
@@ -27,10 +29,9 @@ checkpoints durable graphs and closes every session.
 
 from __future__ import annotations
 
-import asyncio
 import json
+import socket
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any
 
 from ..cypher.errors import CypherError
@@ -43,6 +44,7 @@ from .wire import record_to_wire
 
 _MAX_REQUEST_BYTES = 4 * 1024 * 1024
 _MAX_HEADER_BYTES = 64 * 1024
+_HEAD_END = b"\r\n\r\n"
 
 
 class _HttpError(Exception):
@@ -67,7 +69,12 @@ _STATUS_TEXT = {
 
 
 class DatabaseServer:
-    """Serve a thread-safe :class:`GraphDatabase` over HTTP/JSON."""
+    """Serve a thread-safe :class:`GraphDatabase` over HTTP/JSON.
+
+    ``start()`` binds and returns at once (connections are served on
+    background threads); ``stop()`` shuts down gracefully.  Also usable
+    as a context manager.
+    """
 
     def __init__(
         self,
@@ -75,7 +82,6 @@ class DatabaseServer:
         host: str = "127.0.0.1",
         port: int = 0,
         max_connections: int = 128,
-        workers: int = 8,
     ) -> None:
         if database is None:
             database = GraphDatabase(thread_safe=True)
@@ -89,49 +95,57 @@ class DatabaseServer:
         self.host = host
         self.port = port
         self.max_connections = max_connections
-        self._executor = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="repro-server"
-        )
-        self._server: asyncio.AbstractServer | None = None
-        self._connections = 0
-        self._conn_tasks: set[asyncio.Task] = set()
-        self._conn_writers: set[asyncio.StreamWriter] = set()
+        self._listener: socket.socket | None = None
+        self._accept_thread: threading.Thread | None = None
+        # Guards the three fields below; notified when the last in-flight
+        # request has sent its reply.
+        self._state = threading.Condition()
+        self._connections: dict[socket.socket, threading.Thread] = {}
         self._active_requests = 0
-        self._quiesced = asyncio.Event()
-        self._quiesced.set()
         self._stopping = False
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
 
-    async def start(self) -> None:
+    def start(self) -> "DatabaseServer":
         """Bind and start accepting connections; resolves the real port."""
-        self._server = await asyncio.start_server(self._serve_connection, self.host, self.port)
-        self.port = self._server.sockets[0].getsockname()[1]
+        if self._listener is None:
+            self._listener = socket.create_server((self.host, self.port))
+            self.port = self._listener.getsockname()[1]
+            self._accept_thread = threading.Thread(
+                target=self._accept_loop, name="repro-server-accept", daemon=True
+            )
+            self._accept_thread.start()
+        return self
 
-    async def stop(self) -> None:
-        """Graceful shutdown: drain, flush, checkpoint, close."""
-        self._stopping = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        # Every in-flight request runs to completion and sends its
-        # response (connections re-check the stopping flag between
-        # requests); idle keep-alive connections are parked in a read, so
-        # once the last active request has drained we close their
-        # transports — the pending read sees EOF and the handler exits on
-        # its own (cancelling the tasks instead is noisy in asyncio).
-        await self._quiesced.wait()
-        for writer in list(self._conn_writers):
-            writer.close()
-        if self._conn_tasks:
-            await asyncio.gather(*self._conn_tasks, return_exceptions=True)
-        loop = asyncio.get_running_loop()
-        await loop.run_in_executor(self._executor, self._flush_and_close)
-        self._executor.shutdown(wait=True)
-
-    def _flush_and_close(self) -> None:
+    def stop(self) -> None:
+        """Graceful shutdown: drain, flush, checkpoint, close (idempotent)."""
+        with self._state:
+            if self._stopping:
+                return
+            self._stopping = True
+        if self._listener is not None:
+            # close() alone does not wake a thread blocked in accept().
+            self._listener.shutdown(socket.SHUT_RDWR)
+            self._accept_thread.join()
+            self._listener.close()
+        with self._state:
+            # Every in-flight request runs to completion and sends its
+            # reply; no new one begins once the stopping flag is up.  The
+            # remaining connections are parked in recv(): shutting their
+            # sockets down makes it return EOF and the thread exit on its
+            # own.  Done under the lock so a socket is never shut down
+            # after its thread deregistered and closed it.
+            self._state.wait_for(lambda: self._active_requests == 0)
+            threads = list(self._connections.values())
+            for connection in self._connections:
+                try:
+                    connection.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass  # the peer reset it; its thread is on the way out
+        for thread in threads:
+            thread.join()
         if self.database.durable:
             self.database.checkpoint()
         self.database.close()
@@ -140,78 +154,98 @@ class DatabaseServer:
     def address(self) -> str:
         return f"http://{self.host}:{self.port}"
 
+    def __enter__(self) -> "DatabaseServer":
+        return self.start()
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.stop()
+
     # ------------------------------------------------------------------
     # connection handling
     # ------------------------------------------------------------------
 
-    async def _serve_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
-            task.add_done_callback(self._conn_tasks.discard)
-        if self._connections >= self.max_connections:
-            await self._send(writer, 503, {"error": "server at connection limit"}, close=True)
-            writer.close()
-            return
-        self._connections += 1
-        self._conn_writers.add(writer)
-        try:
-            await self._request_loop(reader, writer)
-        except (ConnectionResetError, BrokenPipeError, asyncio.IncompleteReadError):
-            pass
-        finally:
-            self._connections -= 1
-            self._conn_writers.discard(writer)
-            writer.close()
+    def _accept_loop(self) -> None:
+        while True:
             try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
+                connection, _peer = self._listener.accept()
+            except OSError:
+                return  # stop() shut the listener down
+            with self._state:
+                if len(self._connections) < self.max_connections:
+                    thread = self._connections[connection] = threading.Thread(
+                        target=self._serve_connection,
+                        args=(connection,),
+                        name="repro-server-connection",
+                        daemon=True,
+                    )
+                    thread.start()
+                    continue
+            with connection:
+                try:
+                    self._send(connection, 503, {"error": "server at connection limit"}, close=True)
+                except OSError:
+                    pass
 
-    async def _request_loop(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        while not self._stopping:
-            try:
-                head = await reader.readuntil(b"\r\n\r\n")
-            except (asyncio.IncompleteReadError, ConnectionResetError):
-                return  # client went away between requests
-            except asyncio.LimitOverrunError:
-                await self._send(writer, 413, {"error": "headers too large"}, close=True)
+    def _serve_connection(self, connection: socket.socket) -> None:
+        try:
+            connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            self._request_loop(connection)
+        except OSError:
+            pass  # client went away (reset, broken pipe)
+        finally:
+            with self._state:
+                del self._connections[connection]
+            connection.close()
+
+    def _request_loop(self, connection: socket.socket) -> None:
+        buffer = bytearray()  # received, not yet consumed (may hold the next request)
+
+        def receive() -> bool:
+            """Append what arrives next; False at EOF (client gone, or stop())."""
+            chunk = connection.recv(65536)
+            buffer.extend(chunk)
+            return bool(chunk)
+
+        while True:
+            while (head_end := buffer.find(_HEAD_END)) < 0 and len(buffer) <= _MAX_HEADER_BYTES:
+                if not receive():
+                    return
+            body_start = head_end + len(_HEAD_END)
+            if head_end < 0 or body_start > _MAX_HEADER_BYTES:
+                self._send(connection, 413, {"error": "headers too large"}, close=True)
                 return
-            if len(head) > _MAX_HEADER_BYTES:
-                await self._send(writer, 413, {"error": "headers too large"}, close=True)
-                return
             try:
-                method, path, headers = self._parse_head(head)
+                method, path, headers = self._parse_head(bytes(buffer[:body_start]))
+                declared = headers.get("content-length") or "0"
+                if not (declared.isascii() and declared.isdigit()):
+                    raise ValueError(f"malformed Content-Length: {declared[:40]!r}")
+                length = int(declared)
             except ValueError as exc:
-                await self._send(writer, 400, {"error": str(exc)}, close=True)
+                self._send(connection, 400, {"error": str(exc)}, close=True)
                 return
-            length = int(headers.get("content-length", "0") or "0")
             if length > _MAX_REQUEST_BYTES:
-                await self._send(writer, 413, {"error": "request body too large"}, close=True)
+                self._send(connection, 413, {"error": "request body too large"}, close=True)
                 return
-            body = await reader.readexactly(length) if length else b""
+            while len(buffer) < body_start + length:
+                if not receive():
+                    return
+            body = bytes(buffer[body_start : body_start + length])
+            del buffer[: body_start + length]
             keep_alive = headers.get("connection", "keep-alive").lower() != "close"
-            self._begin_request()
+            with self._state:
+                if self._stopping:
+                    return
+                self._active_requests += 1
             try:
-                status, payload = await self._dispatch(method, path, body)
-                await self._send(writer, status, payload, close=not keep_alive)
+                status, payload = self._dispatch(method, path, body)
+                self._send(connection, status, payload, close=not keep_alive)
             finally:
-                self._end_request()
+                with self._state:
+                    self._active_requests -= 1
+                    if not self._active_requests:
+                        self._state.notify_all()
             if not keep_alive:
                 return
-
-    def _begin_request(self) -> None:
-        self._active_requests += 1
-        self._quiesced.clear()
-
-    def _end_request(self) -> None:
-        self._active_requests -= 1
-        if self._active_requests == 0:
-            self._quiesced.set()
 
     @staticmethod
     def _parse_head(head: bytes) -> tuple[str, str, dict[str, str]]:
@@ -234,9 +268,9 @@ class DatabaseServer:
             headers[name.strip().lower()] = value.strip()
         return method.upper(), path, headers
 
-    async def _send(
+    def _send(
         self,
-        writer: asyncio.StreamWriter,
+        connection: socket.socket,
         status: int,
         payload: dict[str, Any],
         close: bool = False,
@@ -249,17 +283,13 @@ class DatabaseServer:
             f"Connection: {'close' if close else 'keep-alive'}\r\n"
             "\r\n"
         ).encode("latin-1")
-        writer.write(head + body)
-        try:
-            await writer.drain()
-        except (ConnectionResetError, BrokenPipeError):
-            pass
+        connection.sendall(head + body)
 
     # ------------------------------------------------------------------
     # routing
     # ------------------------------------------------------------------
 
-    async def _dispatch(self, method: str, path: str, body: bytes) -> tuple[int, dict]:
+    def _dispatch(self, method: str, path: str, body: bytes) -> tuple[int, dict]:
         try:
             if path == "/health" and method == "GET":
                 return 200, {"status": "ok", "graphs": len(self.database.list_graphs())}
@@ -274,8 +304,7 @@ class DatabaseServer:
                     "/explain": self._handle_explain,
                     "/trigger": self._handle_trigger,
                 }[path]
-                loop = asyncio.get_running_loop()
-                return await loop.run_in_executor(self._executor, handler, request)
+                return handler(request)
             return 404, {"error": f"no route for {method} {path}"}
         except _HttpError as exc:
             return exc.status, {"error": str(exc)}
@@ -301,7 +330,7 @@ class DatabaseServer:
         return self.database.graph(graph)
 
     # ------------------------------------------------------------------
-    # handlers (run on the executor threads)
+    # handlers
     # ------------------------------------------------------------------
 
     def _handle_run(self, request: dict[str, Any]) -> tuple[int, dict]:
@@ -372,73 +401,11 @@ class DatabaseServer:
             return 400, {"error": f"{type(exc).__name__}: {exc}"}
 
 
-class ServerHandle:
-    """A :class:`DatabaseServer` running on a background event-loop thread.
-
-    The synchronous façade tests and benchmarks want: start, read
-    ``address``, and ``stop()`` when done (also usable as a context
-    manager).
-    """
-
-    def __init__(self, server: DatabaseServer) -> None:
-        self.server = server
-        self._loop = asyncio.new_event_loop()
-        self._started = threading.Event()
-        self._thread = threading.Thread(
-            target=self._run, name="repro-server-loop", daemon=True
-        )
-        self._startup_error: BaseException | None = None
-
-    def _run(self) -> None:
-        asyncio.set_event_loop(self._loop)
-        try:
-            self._loop.run_until_complete(self.server.start())
-        except BaseException as exc:  # noqa: BLE001 - surfaced to starter
-            self._startup_error = exc
-            self._started.set()
-            return
-        self._started.set()
-        self._loop.run_forever()
-        self._loop.run_until_complete(self.server.stop())
-        self._loop.close()
-
-    def start(self) -> "ServerHandle":
-        self._thread.start()
-        self._started.wait()
-        if self._startup_error is not None:
-            raise self._startup_error
-        return self
-
-    def stop(self) -> None:
-        if self._thread.is_alive():
-            self._loop.call_soon_threadsafe(self._loop.stop)
-            self._thread.join()
-
-    @property
-    def address(self) -> str:
-        return self.server.address
-
-    @property
-    def host(self) -> str:
-        return self.server.host
-
-    @property
-    def port(self) -> int:
-        return self.server.port
-
-    def __enter__(self) -> "ServerHandle":
-        return self.start()
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.stop()
-
-
 def run_in_thread(
     database: GraphDatabase | None = None,
     host: str = "127.0.0.1",
     port: int = 0,
     **kwargs: Any,
-) -> ServerHandle:
-    """Start a :class:`DatabaseServer` on a background thread and return its handle."""
-    server = DatabaseServer(database, host=host, port=port, **kwargs)
-    return ServerHandle(server).start()
+) -> DatabaseServer:
+    """Start a :class:`DatabaseServer` (it serves on background threads) and return it."""
+    return DatabaseServer(database, host=host, port=port, **kwargs).start()

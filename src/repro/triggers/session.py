@@ -239,33 +239,24 @@ class GraphSession:
         parallel; writers wait).  Statements with side effects serialise
         on the exclusive write lock.
         """
-        if self._locks is None:
-            return self._run_single_threaded(query, parameters)
         if self._open_transaction is not None and self._tx_owner == threading.get_ident():
-            # We are inside this thread's own transaction() block and
-            # already hold the write lock.
+            # Inside this thread's own transaction() block, which already
+            # holds the write lock.
             return self._run_in_transaction(self._open_transaction, query, parameters)
         if query_is_read_only(PLAN_CACHE.parse(query)):
-            with self._locks.read(self._lock_name, timeout=self._lock_timeout):
-                result = self._begin_streaming(query, parameters, register=False)
-                # Drain while holding the shared lock: the caller gets a
-                # consistent snapshot and never touches the engine again.
-                result.rows
+            with self._read_guard():
+                self._detach_active_result()
+                result = self._begin_streaming(query, parameters)
+                if self._locks is None:
+                    self._active_result = result
+                else:
+                    # Drain while holding the shared lock: the caller gets a
+                    # consistent snapshot and never touches the engine again.
+                    result.rows
                 return result
-        with self._locks.write(self._lock_name, timeout=self._lock_timeout):
+        with self._write_guard():
+            self._detach_active_result()
             return self._run_autocommit_write(query, parameters)
-
-    def _run_single_threaded(
-        self, query: str, parameters: Mapping[str, Any] | None
-    ) -> Result:
-        """The original (single-consumer) execution path, lazy reads included."""
-        self._detach_active_result()
-        if self._open_transaction is not None:
-            return self._run_in_transaction(self._open_transaction, query, parameters)
-        if not query_is_read_only(PLAN_CACHE.parse(query)):
-            return self._run_autocommit_write(query, parameters)
-        result = self._begin_streaming(query, parameters, register=True)
-        return result
 
     def _run_autocommit_write(
         self, query: str, parameters: Mapping[str, Any] | None
@@ -283,14 +274,9 @@ class GraphSession:
         return result
 
     def _begin_streaming(
-        self, query: str, parameters: Mapping[str, Any] | None, register: bool
+        self, query: str, parameters: Mapping[str, Any] | None
     ) -> Result:
-        """Start a streamed read-only auto-commit statement.
-
-        ``register`` keeps the session-level active-result bookkeeping of
-        the single-threaded mode; snapshot reads pass False because they
-        are drained before the lock is released and never stay pending.
-        """
+        """Start a streamed read-only auto-commit statement."""
         started = time.perf_counter()
         tx = self.manager.begin()
         try:
@@ -302,7 +288,7 @@ class GraphSession:
             if tx.is_active:
                 self.manager.rollback(tx)
             raise
-        result = Result(
+        return Result(
             columns,
             records,
             executor.last_statistics,
@@ -314,9 +300,6 @@ class GraphSession:
             started=started,
             available_after=(time.perf_counter() - started) * 1000,
         )
-        if register:
-            self._active_result = result
-        return result
 
     def _run_in_transaction(
         self, tx: Transaction, query: str, parameters: Mapping[str, Any] | None

@@ -91,7 +91,12 @@ class Transaction:
         """All changes applied since the transaction began.
 
         Includes both finished statements and the currently open one.
+        With no statement open this is the folded delta itself, not a
+        copy: :meth:`end_statement` replaces it and never mutates it, so
+        a caller's reference stays a stable snapshot.
         """
+        if self._statement_delta.is_empty():
+            return self._transaction_delta
         return self._transaction_delta.merge(self._statement_delta)
 
     def end_statement(self) -> GraphDelta:

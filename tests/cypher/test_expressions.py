@@ -1,6 +1,7 @@
 """Tests for expression evaluation (three-valued logic, functions, access)."""
 
 import datetime
+import math
 
 import pytest
 
@@ -40,6 +41,21 @@ class TestLiteralsAndArithmetic:
     def test_division_by_zero(self, context):
         with pytest.raises(CypherRuntimeError):
             run("1 / 0", context=context)
+        with pytest.raises(CypherRuntimeError):
+            run("1 % 0", context=context)
+
+    def test_float_division_by_zero_follows_ieee(self, context):
+        """openCypher/Neo4j: only integer arithmetic fails on a zero divisor."""
+        assert run("1.0 / 0", context=context) == math.inf
+        assert run("-1 / 0.0", context=context) == -math.inf
+        assert run("1 / -0.0", context=context) == -math.inf
+        assert math.isnan(run("0 * 1.0 / 0", context=context))
+        assert math.isnan(run("5.0 % 0", context=context))
+
+    def test_comparisons_with_nan_are_false(self, context):
+        for comparison in ("> 0.1", "< 0.1", ">= 0.1", "<= 0.1", "= 0.0 / 0"):
+            assert run(f"0.0 / 0 {comparison}", context=context) is False
+        assert run("0.0 / 0 <> 0.0 / 0", context=context) is True
 
     def test_string_concatenation(self, context):
         assert run("'a' + 'b'", context=context) == "ab"

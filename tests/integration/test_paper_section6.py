@@ -69,6 +69,17 @@ class TestSection62EndToEnd:
         assert any("more than 5" in d for d in descriptions)
         assert any("increased" in d for d in descriptions)
 
+    def test_increase_trigger_survives_admission_elsewhere(self, covid_session):
+        """No new patient at Sacco makes the condition 0 * 1.0 / 0: NaN, not an abort."""
+        covid_session.create_trigger(icu_patient_increase(fraction=0.1))
+        replay(covid_session, icu_admission_stream(admissions=2, batch_size=2, hospital="Meyer"))
+        admitted = covid_session.run(
+            "MATCH (p:IcuPatient)-[:TreatedAt]->(:Hospital {name: 'Meyer'}) "
+            "WHERE p.ssn STARTS WITH 'ICU' RETURN count(p) AS n"
+        ).single("n")
+        assert admitted == 2
+        assert covid_session.alerts() == []
+
     def test_relocation_moves_patients_and_terminates(self, covid_session):
         covid_session.create_trigger(icu_patient_move(source="Sacco", destination="Meyer"))
         # overload Sacco: its capacity is 6, admit 8 in two batches

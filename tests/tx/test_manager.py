@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.graph import PropertyGraph
+from repro.graph import GraphDelta, PropertyGraph
 from repro.tx import TransactionAborted, TransactionManager, TransactionStateError
 
 
@@ -88,6 +88,37 @@ class TestHooks:
         # hook writes are part of the committed delta
         labels = {label for node in delta.created_nodes for label in node.labels}
         assert labels == {"Patient", "Alert"}
+
+    def test_hook_delta_is_a_snapshot_of_the_time_it_was_handed_over(self, manager):
+        """The folded delta is shared, not copied — so it must never be mutated."""
+        received = []
+
+        def writing_hook(tx, delta):
+            received.append((delta, delta.summary()))
+            tx.create_node(["Alert"])
+
+        manager.add_before_commit_hook(writing_hook)
+        manager.add_before_commit_hook(lambda tx, delta: received.append((delta, delta.summary())))
+        tx = manager.begin()
+        tx.create_node(["Patient"])
+        committed = manager.commit(tx)
+        (first, first_summary), (second, second_summary) = received
+        assert first_summary["created_nodes"] == 1
+        assert first.summary() == first_summary  # untouched by the hook's own write
+        assert second_summary["created_nodes"] == 2  # the next hook sees that write
+        assert committed.summary() == second_summary
+
+    def test_commit_without_writes_copies_nothing(self, manager, monkeypatch):
+        merges = []
+        merge = GraphDelta.merge
+        monkeypatch.setattr(
+            GraphDelta, "merge", lambda self, other: merges.append(1) or merge(self, other)
+        )
+        manager.add_before_commit_hook(lambda tx, delta: None)
+        manager.add_after_commit_hook(lambda tx, delta: None)
+        delta = manager.commit(manager.begin())
+        assert delta.is_empty()
+        assert merges == []
 
     def test_before_commit_hook_can_abort(self, manager, graph):
         def hook(tx, delta):
