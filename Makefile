@@ -50,7 +50,8 @@ bench:
 ## planner/plan-cache experiment, the streaming-vs-eager P6 comparison, the
 ## batched-vs-per-activation P7 trigger comparison, the P8 physical
 ## operator comparisons (range seek / hash join / top-k), the P9
-## durability throughput/recovery experiment, the P10 concurrent-HTTP
+## durability throughput/recovery experiment (incl. WAL replay ms/record
+## at two log lengths), the P10 concurrent-HTTP
 ## throughput experiment (qps at 1/2/4/8 clients through the server), the
 ## P11 path-query experiment (reachability accelerator vs DFS) and the
 ## P12 optimizer-torture experiment (q-error + plan-regret regression gate
@@ -92,7 +93,8 @@ batched-triggers-demo:
 physical-operators-demo:
 	$(PYTHON) -c "from repro.bench import perf_physical_operators; print(perf_physical_operators().to_text())"
 
-## Print the P9 experiment (in-memory vs fsync vs group-commit throughput).
+## Print the P9 experiment (in-memory vs fsync vs group-commit throughput,
+## plus WAL replay ms/record at two log lengths).
 durability-demo:
 	$(PYTHON) -c "from repro.bench import perf_durability; print(perf_durability().to_text())"
 

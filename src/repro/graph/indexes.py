@@ -29,7 +29,7 @@ import bisect
 import datetime as _dt
 import threading
 from collections import defaultdict
-from typing import Any, Hashable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Any, Hashable, Iterator, Mapping, Optional, Sequence
 
 from .histogram import DEFAULT_BUCKETS, EquiDepthHistogram
 
@@ -181,13 +181,6 @@ class PropertyIndex:
         if entries is None:
             return None
         return set(entries.get(_freeze_value(value), ()))
-
-    def index_entries(
-        self, label: str, prop: str
-    ) -> Iterable[tuple[Hashable, set[int]]]:
-        """Iterate over (value, ids) pairs of one declared index."""
-        entries = self._entries.get((label, prop), {})
-        return ((value, set(ids)) for value, ids in entries.items())
 
 
 # ---------------------------------------------------------------------------
@@ -652,10 +645,6 @@ class CompositeIndex:
     def indexed_keys(self) -> list[tuple[str, tuple[str, ...]]]:
         """The declared (label, properties) keys, sorted."""
         return sorted(self._indexed_keys)
-
-    def for_label(self, label: str) -> tuple[tuple[str, ...], ...]:
-        """Property tuples declared for ``label`` (maintenance fast path)."""
-        return tuple(self._by_label.get(label, ()))
 
     def add_item(self, label: str, properties: Mapping[str, Any], item_id: int) -> None:
         """Index ``item_id`` under every declared composite it satisfies."""

@@ -50,11 +50,6 @@ def decode_value(value: Any) -> Any:
     return value
 
 
-#: Backwards-compatible aliases (the public names are new in the durability PR).
-_encode_value = encode_value
-_decode_value = decode_value
-
-
 def graph_to_dict(graph: PropertyGraph) -> dict[str, Any]:
     """Serialize ``graph`` into a JSON-compatible dictionary."""
     return {
@@ -64,7 +59,7 @@ def graph_to_dict(graph: PropertyGraph) -> dict[str, Any]:
             {
                 "id": node.id,
                 "labels": sorted(node.labels),
-                "properties": {k: _encode_value(v) for k, v in node.properties.items()},
+                "properties": {k: encode_value(v) for k, v in node.properties.items()},
             }
             for node in sorted(graph.nodes(), key=lambda n: n.id)
         ],
@@ -74,7 +69,7 @@ def graph_to_dict(graph: PropertyGraph) -> dict[str, Any]:
                 "type": rel.type,
                 "start": rel.start,
                 "end": rel.end,
-                "properties": {k: _encode_value(v) for k, v in rel.properties.items()},
+                "properties": {k: encode_value(v) for k, v in rel.properties.items()},
             }
             for rel in sorted(graph.relationships(), key=lambda r: r.id)
         ],
@@ -99,7 +94,7 @@ def graph_from_dict(payload: dict[str, Any]) -> PropertyGraph:
     for node in payload.get("nodes", ()):
         graph.create_node(
             labels=node.get("labels", ()),
-            properties={k: _decode_value(v) for k, v in node.get("properties", {}).items()},
+            properties={k: decode_value(v) for k, v in node.get("properties", {}).items()},
             node_id=node["id"],
         )
     for rel in payload.get("relationships", ()):
@@ -107,7 +102,7 @@ def graph_from_dict(payload: dict[str, Any]) -> PropertyGraph:
             rel_type=rel["type"],
             start=rel["start"],
             end=rel["end"],
-            properties={k: _decode_value(v) for k, v in rel.get("properties", {}).items()},
+            properties={k: decode_value(v) for k, v in rel.get("properties", {}).items()},
             rel_id=rel["id"],
         )
     for label, prop in payload.get("indexes", ()):

@@ -68,8 +68,10 @@ class PropertyGraph:
         self.name = name
         self._nodes: dict[int, Node] = {}
         self._relationships: dict[int, Relationship] = {}
-        self._node_ids = itertools.count(0)
-        self._rel_ids = itertools.count(0)
+        #: Per-kind high-water marks (one past the highest id ever inserted):
+        #: O(1) per insert, and an id is never reissued within a process.
+        self._next_node_id = 0
+        self._next_rel_id = 0
         self._node_labels = LabelIndex()
         self._rel_types = LabelIndex()
         self._property_index = PropertyIndex()
@@ -397,10 +399,6 @@ class PropertyGraph:
             return None
         return [self._nodes[i] for i in sorted(hit) if i in self._nodes]
 
-    def range_index_selectivity(self, label: str, prop: str) -> float | None:
-        """Entries per distinct value of the ordered index (``None`` if absent)."""
-        return self._range_index.selectivity(label, prop)
-
     def range_index_entry_count(self, label: str, prop: str) -> int | None:
         """Total entries of the ordered index (``None`` when not declared)."""
         return self._range_index.entry_count(label, prop)
@@ -483,10 +481,6 @@ class PropertyGraph:
     def composite_indexes(self) -> list[tuple[str, tuple[str, ...]]]:
         """Declared (label, properties) composite index keys."""
         return self._composite_index.indexed_keys()
-
-    def composite_indexes_for_label(self, label: str) -> tuple[tuple[str, ...], ...]:
-        """Property tuples of the composites declared for ``label``."""
-        return self._composite_index.for_label(label)
 
     def composite_index_lookup(
         self, label: str, props: Iterable[str], values: Iterable[Any]
@@ -602,11 +596,10 @@ class PropertyGraph:
         label_set = frozenset(labels or ())
         props = validate_properties(properties)
         if node_id is None:
-            node_id = next(self._node_ids)
+            node_id = self._next_node_id
         elif node_id in self._nodes:
             raise GraphIntegrityError(f"node id {node_id} already exists")
-        else:
-            self._node_ids = itertools.count(max(node_id + 1, self._peek_node_id()))
+        self._next_node_id = max(self._next_node_id, node_id + 1)
         node = Node(id=node_id, labels=label_set, properties=props)
         self._nodes[node_id] = node
         self._outgoing.setdefault(node_id, set())
@@ -638,11 +631,10 @@ class PropertyGraph:
             raise GraphIntegrityError("relationship type must be a non-empty string")
         props = validate_properties(properties)
         if rel_id is None:
-            rel_id = next(self._rel_ids)
+            rel_id = self._next_rel_id
         elif rel_id in self._relationships:
             raise GraphIntegrityError(f"relationship id {rel_id} already exists")
-        else:
-            self._rel_ids = itertools.count(max(rel_id + 1, self._peek_rel_id()))
+        self._next_rel_id = max(self._next_rel_id, rel_id + 1)
         rel = Relationship(id=rel_id, type=rel_type, start=start, end=end, properties=props)
         self._relationships[rel_id] = rel
         self._outgoing[start].add(rel_id)
@@ -870,14 +862,6 @@ class PropertyGraph:
     def _node_property_indexes(self) -> tuple:
         """The node property indexes every node mutation must maintain."""
         return (self._property_index, self._range_index)
-
-    def _peek_node_id(self) -> int:
-        """Smallest id that the node counter would produce next."""
-        return max(self._nodes, default=-1) + 1
-
-    def _peek_rel_id(self) -> int:
-        """Smallest id that the relationship counter would produce next."""
-        return max(self._relationships, default=-1) + 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

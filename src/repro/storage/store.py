@@ -152,8 +152,14 @@ class DurableStore:
         version = envelope.get("format_version")
         if version != SNAPSHOT_FORMAT_VERSION:
             raise RecoveryError(f"unsupported snapshot format version: {version}")
-        payload = envelope.get("snapshot")
-        if not isinstance(payload, dict) or envelope.get("crc") != _payload_crc(payload):
+        crc, payload = envelope.get("crc"), envelope.get("snapshot")
+        head = _envelope_head(crc) if isinstance(crc, int) else b""
+        if not (
+            head
+            and isinstance(payload, dict)
+            and raw.startswith(head)
+            and zlib.crc32(raw[len(head):-1]) == crc
+        ):
             raise RecoveryError(f"snapshot {self.snapshot_path} failed its checksum")
         graph = graph_from_dict(payload["graph"])
         if graph_name is not None:
@@ -272,12 +278,8 @@ class DurableStore:
                 {"name": t.name, "source": t.source, "enabled": t.enabled} for t in triggers
             ],
         }
-        envelope = {
-            "format_version": SNAPSHOT_FORMAT_VERSION,
-            "crc": _payload_crc(payload),
-            "snapshot": payload,
-        }
-        data = json.dumps(envelope, separators=(",", ":"), sort_keys=True).encode("utf-8")
+        encoded = json.dumps(payload, separators=(",", ":"), sort_keys=True).encode("utf-8")
+        data = _envelope_head(zlib.crc32(encoded)) + encoded + b"}"
         self.io.write_bytes(self.snapshot_tmp_path, data)
         self.io.fsync(self.snapshot_tmp_path)
         self.io.replace(self.snapshot_tmp_path, self.snapshot_path)
@@ -304,6 +306,7 @@ class DurableStore:
                 self.io.release(path)
 
 
-def _payload_crc(payload: Mapping[str, Any]) -> int:
-    """Checksum of a snapshot payload's canonical JSON encoding."""
-    return zlib.crc32(json.dumps(payload, separators=(",", ":"), sort_keys=True).encode("utf-8"))
+def _envelope_head(crc: int) -> bytes:
+    """The bytes before the payload in ``{"crc":N,"format_version":1,"snapshot":<payload>}``,
+    the compact key-sorted envelope; ``crc`` covers exactly the payload bytes."""
+    return b'{"crc":%d,"format_version":%d,"snapshot":' % (crc, SNAPSHOT_FORMAT_VERSION)

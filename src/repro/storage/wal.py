@@ -36,10 +36,6 @@ RECORD_MAGIC = b"PGW1"
 _FRAME_HEADER = struct.Struct("<4sII")
 
 
-class WalCorruptionError(Exception):
-    """A WAL frame failed validation somewhere other than the torn tail."""
-
-
 @dataclass
 class WalScan:
     """Outcome of scanning a WAL file from the start."""

@@ -40,6 +40,19 @@ class TestNodeLifecycle:
         with pytest.raises(GraphIntegrityError):
             graph.create_node(node_id=3)
 
+    def test_explicit_ids_out_of_order_raise_the_high_water_mark(self, graph):
+        for node_id in (5, 2, 9):
+            graph.create_node(node_id=node_id)
+        assert graph.create_node().id == 10
+
+    def test_lower_explicit_id_never_rewinds_the_counter(self, graph):
+        for _ in range(5):
+            graph.create_node()
+        graph.delete_node(4)
+        graph.delete_node(1)
+        graph.create_node(node_id=1)
+        assert graph.create_node().id == 5
+
     def test_missing_node_raises(self, graph):
         with pytest.raises(NodeNotFoundError):
             graph.node(99)
@@ -90,6 +103,21 @@ class TestRelationshipLifecycle:
         with pytest.raises(RelationshipNotFoundError):
             graph.relationship(rel.id)
         assert graph.degree(a.id) == 0
+
+    def test_explicit_rel_ids_out_of_order_raise_the_high_water_mark(self, graph):
+        a = graph.create_node()
+        for rel_id in (5, 2, 9):
+            graph.create_relationship("R", a.id, a.id, rel_id=rel_id)
+        assert graph.create_relationship("R", a.id, a.id).id == 10
+
+    def test_lower_explicit_rel_id_never_rewinds_the_counter(self, graph):
+        a = graph.create_node()
+        for _ in range(5):
+            graph.create_relationship("R", a.id, a.id)
+        graph.delete_relationship(4)
+        graph.delete_relationship(1)
+        graph.create_relationship("R", a.id, a.id, rel_id=1)
+        assert graph.create_relationship("R", a.id, a.id).id == 5
 
 
 class TestLabelsAndProperties:

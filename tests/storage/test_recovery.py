@@ -12,7 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.database import GraphDatabase
-from repro.graph.serialization import fingerprint
+from repro.graph.serialization import fingerprint, graph_from_dict, graph_to_dict
 from repro.graph.store import PropertyGraph
 from repro.storage import DurableStore, MemoryIO, RecoveryError, TriggerState
 from repro.triggers.session import GraphSession
@@ -186,6 +186,43 @@ class TestCheckpoint:
         session = GraphSession()
         with pytest.raises(RuntimeError, match="in-memory"):
             session.checkpoint()
+
+
+class TestIdRoundTrip:
+    """Every route that restores ids keeps them, gaps included."""
+
+    @pytest.mark.parametrize("route", ["dict", "copy", "wal"])
+    def test_ids_with_gaps_survive_and_allocation_resumes_after_max(self, opener, route):
+        session = opener()
+        session.run("UNWIND range(0, 7) AS i CREATE (:Item {seq: i})")
+        session.run("MATCH (a:Item), (b:Item) WHERE b.seq = a.seq + 1 CREATE (a)-[:NEXT]->(b)")
+        session.run("MATCH (n:Item) WHERE n.seq IN [2, 5] DETACH DELETE n")
+        session.run("CREATE (:Item {seq: 8})")
+        session.run("MATCH (a:Item {seq: 8}), (b:Item {seq: 0}) CREATE (a)-[:NEXT]->(b)")
+        survivor = session.graph
+        node_ids = sorted(n.id for n in survivor.nodes())
+        rel_ids = sorted(r.id for r in survivor.relationships())
+        assert node_ids != list(range(len(node_ids)))
+        assert rel_ids != list(range(len(rel_ids)))
+
+        if route == "dict":
+            restored = graph_from_dict(graph_to_dict(survivor))
+        elif route == "copy":
+            restored = survivor.copy()
+        session.close()
+        if route == "wal":
+            reopened = opener()
+            assert reopened.recovery.replayed_records == 5
+            restored = reopened.graph
+
+        assert sorted(n.id for n in restored.nodes()) == node_ids
+        assert sorted(r.id for r in restored.relationships()) == rel_ids
+        assert fingerprint(restored) == fingerprint(survivor)
+        anchor = restored.create_node()
+        assert anchor.id == node_ids[-1] + 1
+        assert restored.create_relationship("NEXT", anchor.id, anchor.id).id == rel_ids[-1] + 1
+        if route == "wal":
+            reopened.close()
 
 
 class TestDurableStoreEdges:

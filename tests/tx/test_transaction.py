@@ -123,6 +123,29 @@ class TestRollbackAndState:
         assert graph.has_relationship(rel.id)
         assert graph.relationship(rel.id).properties["w"] == 2
 
+    def test_rollbacks_never_reissue_dead_node_ids(self, graph):
+        for _ in range(10):
+            graph.create_node()
+        tx = Transaction(graph)
+        assert tx.create_node().id == 10
+        tx._rollback_changes()
+        tx = Transaction(graph)
+        tx.delete_node(3)
+        tx._rollback_changes()  # re-inserts node 3 under its explicit id
+        assert graph.create_node().id == 11
+
+    def test_rollbacks_never_reissue_dead_relationship_ids(self, graph):
+        a, b = graph.create_node(), graph.create_node()
+        for _ in range(10):
+            graph.create_relationship("R", a.id, b.id)
+        tx = Transaction(graph)
+        assert tx.create_relationship("R", a.id, b.id).id == 10
+        tx._rollback_changes()
+        tx = Transaction(graph)
+        tx.delete_relationship(3)
+        tx._rollback_changes()
+        assert graph.create_relationship("R", a.id, b.id).id == 11
+
     def test_writes_rejected_after_commit(self, tx):
         tx._mark_committed()
         assert tx.state == TransactionState.COMMITTED
