@@ -5,7 +5,7 @@ The top-level package re-exports the most commonly used entry points; the
 subpackages are:
 
 * :mod:`repro.graph` — in-memory property graph store;
-* :mod:`repro.tx` — transactions, undo log, commit hooks;
+* :mod:`repro.tx` — transactions, change journal and rollback, commit hooks;
 * :mod:`repro.cypher` — openCypher-subset query engine;
 * :mod:`repro.schema` — PG-Schema / PG-Keys;
 * :mod:`repro.triggers` — the PG-Trigger language and execution engine;

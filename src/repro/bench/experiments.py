@@ -1245,11 +1245,11 @@ def perf_optimizer(
     over its skewed-distribution graph and reports, per query kind, the
     median/worst multiplicative estimation error (``est~rows`` vs rows
     actually produced) and the median plan regret (planned execution
-    time vs the best enumerated baseline: clause-order joins, naive
-    paths, eager).  Two satellite comparisons ride along: the equi-depth
-    histogram vs the one-third range heuristic on the same skewed range
-    queries, and the reachability accelerator's DFS-vs-interval routing
-    counters for narrow hop windows.
+    time vs clause-order joins; naive paths and eager only check rows).
+    Two satellite comparisons ride along: the equi-depth histogram vs the
+    one-third range heuristic on the same skewed range queries, and the
+    reachability accelerator's DFS-vs-interval routing counters for
+    narrow hop windows.
 
     Pass a precomputed ``TortureReport`` via ``report`` to score an
     existing run (the benchmark gate times ``run_torture`` separately

@@ -886,27 +886,48 @@ class QueryExecutor:
         self, rel_pattern, start, bindings, min_hops, max_hops
     ) -> dict[int, tuple]:
         """Ground truth: enumerate every relationship-unique path, keep the
-        per-target minimum by (length, relationship-id tuple)."""
+        per-target minimum by (length, relationship-id tuple).
+
+        Depth-first over an explicit stack (one frame per hop, as in
+        :meth:`_expand_variable_length_iterative`), so path length is not
+        bounded by the interpreter's recursion limit.
+        """
         floor = max(min_hops, 1)
         best: dict[int, tuple] = {}
+        hops: list[Relationship] = []
+        visited: set[int] = set()
 
-        def recurse(node: Node, hops: list, visited: set[int]) -> None:
-            if len(hops) >= floor and node.id != start.id:
-                key = (len(hops), tuple(r.id for r in hops))
-                current = best.get(node.id)
-                if current is None or key < (len(current), tuple(r.id for r in current)):
-                    best[node.id] = tuple(hops)
-            if len(hops) >= max_hops:
-                return
-            for rel in self._candidate_relationships(rel_pattern, node, bindings, ignore_bound=True):
+        def frame(node: Node) -> tuple[Node, Iterator[Relationship]]:
+            return node, iter(self._candidate_relationships(
+                rel_pattern, node, bindings, ignore_bound=True
+            ))
+
+        stack = [frame(start)] if max_hops > 0 else []
+        while stack:
+            node, candidates = stack[-1]
+            for rel in candidates:
                 if rel.id in visited:
                     continue
                 other_id = rel.other_end(node.id)
                 if not self.graph.has_node(other_id):
                     continue
-                recurse(self.graph.node(other_id), hops + [rel], visited | {rel.id})
-
-        recurse(start, [], set())
+                hops.append(rel)
+                visited.add(rel.id)
+                if len(hops) >= floor and other_id != start.id:
+                    key = (len(hops), tuple(r.id for r in hops))
+                    current = best.get(other_id)
+                    if current is None or key < (len(current), tuple(r.id for r in current)):
+                        best[other_id] = tuple(hops)
+                if len(hops) < max_hops:
+                    stack.append(frame(self.graph.node(other_id)))
+                    break
+                visited.discard(rel.id)
+                hops.pop()
+            else:
+                # Candidates exhausted: retreat over the hop into this node.
+                stack.pop()
+                if hops:
+                    visited.discard(hops.pop().id)
         return best
 
     def _shortest_expander(self, rel_pattern, bindings):

@@ -14,14 +14,20 @@ material from which three different views are produced:
 * the Memgraph predefined variables of Table 4
   (``createdVertices``, ``setVertexProperties``, …) — see
   :mod:`repro.compat.memgraph`.
+
+Its operation journal is also what the write-ahead log persists and what
+transaction rollback inverts (:func:`revert`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import TYPE_CHECKING, Any, Iterable
 
 from .model import Node, Relationship
+
+if TYPE_CHECKING:
+    from .store import PropertyGraph
 
 
 @dataclass(frozen=True)
@@ -83,6 +89,50 @@ OP_ASSIGN_LABEL = "assign_label"
 OP_REMOVE_LABEL = "remove_label"
 OP_ASSIGN_PROPERTY = "assign_property"
 OP_REMOVE_PROPERTY = "remove_property"
+
+
+def revert(graph: "PropertyGraph", kind: str, record: Any) -> None:
+    """Undo one journal entry ``(kind, record)`` of :meth:`GraphDelta.operations`.
+
+    Rollback walks a transaction's journal backwards through this.  Deleted
+    items come back under their original ids, so snapshots held elsewhere
+    (e.g. trigger transition variables) stay consistent with the store, and
+    every step goes through the store's public primitives, so mutation
+    listeners observe the rollback too.
+    """
+    if kind == OP_CREATE_NODE:
+        if graph.has_node(record.id):
+            graph.delete_node(record.id, detach=True)
+    elif kind == OP_DELETE_NODE:
+        graph.create_node(record.labels, dict(record.properties), node_id=record.id)
+    elif kind == OP_CREATE_RELATIONSHIP:
+        if graph.has_relationship(record.id):
+            graph.delete_relationship(record.id)
+    elif kind == OP_DELETE_RELATIONSHIP:
+        graph.create_relationship(
+            record.type, record.start, record.end, dict(record.properties), rel_id=record.id
+        )
+    elif kind == OP_ASSIGN_LABEL:
+        if graph.has_node(record.node.id):
+            graph.remove_label(record.node.id, record.label)
+    elif kind == OP_REMOVE_LABEL:
+        if graph.has_node(record.node.id):
+            graph.add_label(record.node.id, record.label)
+    else:  # OP_ASSIGN_PROPERTY / OP_REMOVE_PROPERTY: restore the old value
+        item = record.item
+        if isinstance(item, Node):
+            if not graph.has_node(item.id):
+                return
+            set_value, remove_value = graph.set_node_property, graph.remove_node_property
+        else:
+            if not graph.has_relationship(item.id):
+                return
+            set_value = graph.set_relationship_property
+            remove_value = graph.remove_relationship_property
+        if record.old is None:
+            remove_value(item.id, record.key)
+        else:
+            set_value(item.id, record.key, record.old)
 
 
 @dataclass

@@ -2,9 +2,9 @@
 
 :class:`PropertyGraph` is the storage substrate on which the whole
 reproduction is built: the Cypher executor reads and writes through it, the
-transaction layer (:mod:`repro.tx`) wraps its primitive operations with undo
-logging and change capture, and the PG-Trigger engine consumes the captured
-changes.
+transaction layer (:mod:`repro.tx`) records its primitive operations in a
+change journal (which rollback inverts), and the PG-Trigger engine consumes
+the captured changes.
 
 Design notes
 ------------
@@ -94,7 +94,7 @@ class PropertyGraph:
         #: Mutation listeners ``(op, old, new)`` invoked after every
         #: primitive mutation (op names from :mod:`repro.graph.delta`, plus
         #: :data:`OP_BULK` for ``clear()``).  Because the transaction layer's
-        #: undo records and detach-delete cascades funnel through these same
+        #: rollback and detach-delete cascades funnel through these same
         #: public primitives, a listener observes rollbacks and cascades
         #: without any help from the caller.  Never copied by :meth:`copy`.
         self._mutation_listeners: list = []
@@ -590,7 +590,7 @@ class PropertyGraph:
     ) -> Node:
         """Create a node and return its snapshot.
 
-        ``node_id`` may be supplied by the transaction layer when undoing a
+        ``node_id`` may be supplied by the transaction layer when reverting a
         deletion so that the node reappears under its original id.
         """
         label_set = frozenset(labels or ())

@@ -85,14 +85,7 @@ from ..graph.store import PropertyGraph
 from ..tx.errors import TransactionAborted
 from ..tx.manager import TransactionManager
 from ..tx.transaction import Transaction
-from .ast import (
-    ActionTime,
-    EventType,
-    Granularity,
-    InstalledTrigger,
-    ItemKind,
-    TriggerDefinition,
-)
+from .ast import ActionTime, Granularity, InstalledTrigger, TriggerDefinition
 from .context import (
     ExecutionContext,
     TriggerBindings,
@@ -186,15 +179,8 @@ class TriggerEngine:
 
     def run_statement_triggers(self, tx: Transaction, delta: GraphDelta) -> GraphDelta:
         """Process BEFORE and AFTER triggers for one statement's delta."""
-        # Both rounds see the same delta, so they can share one label summary
-        # (built lazily by whichever round first has triggers to filter).
-        shared: list[_DeltaLabelSummary] = []
-        before = self._process(
-            tx, delta, (ActionTime.BEFORE,), depth=0, parent=None, shared_summary=shared
-        )
-        after = self._process(
-            tx, delta, (ActionTime.AFTER,), depth=0, parent=None, shared_summary=shared
-        )
+        before = self._process(tx, delta, (ActionTime.BEFORE,), depth=0, parent=None)
+        after = self._process(tx, delta, (ActionTime.AFTER,), depth=0, parent=None)
         if before.is_empty():
             return after
         if after.is_empty():
@@ -250,15 +236,8 @@ class TriggerEngine:
         times: tuple[ActionTime, ...],
         depth: int,
         parent: Optional[ExecutionContext],
-        shared_summary: Optional[list["_DeltaLabelSummary"]] = None,
     ) -> GraphDelta:
-        """Run all triggers of ``times`` over ``delta``; cascade recursively.
-
-        ``shared_summary`` is a one-element memo cell letting sibling calls
-        over the *same* delta (the BEFORE and AFTER rounds of one statement)
-        share the label summary; cascades operate on new deltas and pass
-        nothing.
-        """
+        """Run all triggers of ``times`` over ``delta``; cascade recursively."""
         if delta.is_empty():
             return GraphDelta()
         if depth > self.max_cascade_depth:
@@ -266,29 +245,17 @@ class TriggerEngine:
             raise TriggerRecursionError(self.max_cascade_depth, chain)
 
         produced_total = GraphDelta()
-        triggers = self.registry.ordered(times, enabled_only=True)
-        if triggers:
-            if shared_summary is None:
-                touched = _DeltaLabelSummary(delta)
-            else:
-                if not shared_summary:
-                    shared_summary.append(_DeltaLabelSummary(delta))
-                touched = shared_summary[0]
-            # Activations depend only on the trigger's event selector, not
-            # on its condition or action — triggers sharing a selector
-            # (every ``AFTER CREATE ON 'X' FOR EACH NODE`` gate in a
-            # firehose suite, say) share one scan of the delta.  The
-            # refresh of the NEW side stays per trigger in _run_trigger,
-            # so later triggers still see earlier triggers' writes.
-            activation_memo: dict[tuple, list] = {}
-            for installed in triggers:
-                if not _may_activate(installed.definition, touched):
-                    continue
-                produced = self._run_trigger(
-                    installed, tx, delta, depth, parent, activation_memo
-                )
-                if not produced.is_empty():
-                    produced_total = produced_total.merge(produced)
+        # Activations depend only on the trigger's event selector, not on
+        # its condition or action — triggers sharing a selector (every
+        # ``AFTER CREATE ON 'X' FOR EACH NODE`` gate in a firehose suite,
+        # say) share one scan of the delta.  The refresh of the NEW side
+        # stays per trigger in _run_trigger, so later triggers still see
+        # earlier triggers' writes.
+        activation_memo: dict[tuple, list] = {}
+        for installed in self.registry.ordered(times, enabled_only=True):
+            produced = self._run_trigger(installed, tx, delta, depth, parent, activation_memo)
+            if not produced.is_empty():
+                produced_total = produced_total.merge(produced)
 
         if not produced_total.is_empty():
             cascade_times = self._cascade_times(times)
@@ -319,17 +286,14 @@ class TriggerEngine:
         delta: GraphDelta,
         depth: int,
         parent: Optional[ExecutionContext],
-        activation_memo: Optional[dict[tuple, list]] = None,
+        activation_memo: dict[tuple, list],
     ) -> GraphDelta:
         trigger = installed.definition
-        if activation_memo is None:
+        selector = (trigger.item, trigger.event, trigger.label, trigger.property)
+        activations = activation_memo.get(selector)
+        if activations is None:
             activations = compute_activations(trigger, delta)
-        else:
-            selector = (trigger.item, trigger.event, trigger.label, trigger.property)
-            activations = activation_memo.get(selector)
-            if activations is None:
-                activations = compute_activations(trigger, delta)
-                activation_memo[selector] = activations
+            activation_memo[selector] = activations
         if not activations:
             return GraphDelta()
         activations = [self._refresh_new_side(a) for a in activations]
@@ -1235,88 +1199,3 @@ def _exists_patterns(expression: Expression) -> Iterator[PathPattern]:
                 for element in pattern.elements:
                     for _, expr in element.properties:
                         yield from _exists_patterns(expr)
-
-
-# ---------------------------------------------------------------------------
-# cheap trigger/delta prefiltering
-# ---------------------------------------------------------------------------
-
-
-class _DeltaLabelSummary:
-    """Label/type footprint of a delta, built once per processing round.
-
-    :func:`_may_activate` checks a trigger's monitored label against these
-    sets before the per-trigger activation computation runs; with many
-    installed triggers targeting disjoint labels this avoids walking the
-    delta once per trigger.  The check over-approximates
-    :func:`~repro.triggers.events.compute_activations` (it may say yes when
-    there are no activations, never the reverse).
-    """
-
-    __slots__ = (
-        "created_node_labels", "deleted_node_labels",
-        "assigned_label_node_labels", "removed_label_node_labels",
-        "node_prop_set_labels", "node_prop_removed_labels",
-        "created_rel_types", "deleted_rel_types",
-        "rel_prop_set_types", "rel_prop_removed_types",
-    )
-
-    def __init__(self, delta: GraphDelta) -> None:
-        self.created_node_labels: set[str] = set()
-        for node in delta.created_nodes:
-            self.created_node_labels.update(node.labels)
-        self.deleted_node_labels: set[str] = set()
-        for node in delta.deleted_nodes:
-            self.deleted_node_labels.update(node.labels)
-        self.assigned_label_node_labels: set[str] = set()
-        for assignment in delta.assigned_labels:
-            self.assigned_label_node_labels.update(assignment.node.labels)
-        self.removed_label_node_labels: set[str] = set()
-        for removal in delta.removed_labels:
-            self.removed_label_node_labels.update(removal.node.labels)
-        self.node_prop_set_labels: set[str] = set()
-        self.rel_prop_set_types: set[str] = set()
-        for change in delta.assigned_properties:
-            if change.is_node:
-                self.node_prop_set_labels.update(change.item.labels)
-            else:
-                self.rel_prop_set_types.add(change.item.type)
-        self.node_prop_removed_labels: set[str] = set()
-        self.rel_prop_removed_types: set[str] = set()
-        for change in delta.removed_properties:
-            if change.is_node:
-                self.node_prop_removed_labels.update(change.item.labels)
-            else:
-                self.rel_prop_removed_types.add(change.item.type)
-        self.created_rel_types = {rel.type for rel in delta.created_relationships}
-        self.deleted_rel_types = {rel.type for rel in delta.deleted_relationships}
-
-
-def _may_activate(trigger: TriggerDefinition, touched: _DeltaLabelSummary) -> bool:
-    """Can ``trigger`` possibly have activations in the summarised delta?"""
-    label = trigger.label
-    if trigger.item == ItemKind.NODE:
-        if trigger.event == EventType.CREATE:
-            return label in touched.created_node_labels
-        if trigger.event == EventType.DELETE:
-            return label in touched.deleted_node_labels
-        if trigger.event == EventType.SET:
-            if trigger.property is None:
-                return (
-                    label in touched.assigned_label_node_labels
-                    or label in touched.node_prop_set_labels
-                )
-            return label in touched.node_prop_set_labels
-        if trigger.property is None:
-            return (
-                label in touched.removed_label_node_labels
-                or label in touched.node_prop_removed_labels
-            )
-        return label in touched.node_prop_removed_labels
-    if trigger.event == EventType.CREATE:
-        return label in touched.created_rel_types
-    if trigger.event == EventType.DELETE:
-        return label in touched.deleted_rel_types
-    if trigger.event == EventType.SET:
-        return label in touched.rel_prop_set_types
-    return label in touched.rel_prop_removed_types

@@ -23,12 +23,12 @@ the Rete tradition:
   trigger drops to a handful of dict operations.
 
 Because the store notifies listeners from every primitive mutation —
-including the transaction layer's rollback undo records and
-detach-delete cascades, which funnel through the same public methods —
-the views are *live*: when the engine replays activations one by one,
-each activation's evaluation sees every earlier firing's writes, which
-makes incremental evaluation sequential-equal by construction (no
-independence analysis needed on this tier).
+including the transaction layer's rollback (a backwards walk of the
+change journal) and detach-delete cascades, which funnel through the
+same public methods — the views are *live*: when the engine replays
+activations one by one, each activation's evaluation sees every earlier
+firing's writes, which makes incremental evaluation sequential-equal by
+construction (no independence analysis needed on this tier).
 
 Safety rails, per the demotion ladder (incremental → batched →
 sequential):

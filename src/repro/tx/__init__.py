@@ -1,4 +1,4 @@
-"""Transaction substrate: transactions, undo logging, commit hooks, locks."""
+"""Transaction substrate: transactions, journal-based rollback, commit hooks, locks."""
 
 from .errors import LockTimeoutError, TransactionAborted, TransactionError, TransactionStateError
 from .locks import LockManager, ReadWriteLock

@@ -2,13 +2,14 @@
 
 A :class:`Transaction` applies writes to the shared
 :class:`~repro.graph.store.PropertyGraph` immediately (there is a single
-writer in this in-process engine), while recording:
-
-* an *undo log* so that :meth:`rollback` restores the exact prior state;
-* a *statement delta* (changes since the last statement boundary) and a
-  *transaction delta* (all changes since ``begin``), which are what the
-  PG-Trigger engine consumes for AFTER/BEFORE-statement and
-  ONCOMMIT/DETACHED action times respectively.
+writer in this in-process engine), while recording every write in a
+*statement delta* (changes since the last statement boundary) that is
+folded into a *transaction delta* (all changes since ``begin``).  These
+:class:`~repro.graph.delta.GraphDelta` journals are the only record of
+what the transaction did: the PG-Trigger engine consumes them for
+AFTER/BEFORE-statement and ONCOMMIT/DETACHED action times respectively,
+and rollback walks them backwards (:func:`~repro.graph.delta.revert`)
+to restore the exact prior state.
 
 Statement boundaries are explicit: the query layer calls
 :meth:`end_statement` after executing each top-level statement, which
@@ -21,21 +22,10 @@ import enum
 import itertools
 from typing import Any, Iterable, Mapping
 
-from ..graph.delta import GraphDelta
+from ..graph.delta import GraphDelta, revert
 from ..graph.model import Node, Relationship
 from ..graph.store import PropertyGraph
 from .errors import TransactionStateError
-from .operations import (
-    UndoLabelAddition,
-    UndoLabelRemoval,
-    UndoNodeCreation,
-    UndoNodeDeletion,
-    UndoNodePropertyChange,
-    UndoRecord,
-    UndoRelationshipCreation,
-    UndoRelationshipDeletion,
-    UndoRelationshipPropertyChange,
-)
 
 _transaction_ids = itertools.count(1)
 
@@ -49,7 +39,7 @@ class TransactionState(enum.Enum):
 
 
 class Transaction:
-    """A unit of work over a :class:`PropertyGraph` with undo and change capture."""
+    """A unit of work over a :class:`PropertyGraph` with change capture and rollback."""
 
     def __init__(self, graph: PropertyGraph, metadata: Mapping[str, Any] | None = None) -> None:
         self.id = next(_transaction_ids)
@@ -58,7 +48,6 @@ class Transaction:
         #: Arbitrary metadata (e.g. ``{"source": "trigger"}``); the APOC
         #: emulation uses this to reproduce APOC's cascade-blocking check.
         self.metadata: dict[str, Any] = dict(metadata or {})
-        self._undo_log: list[UndoRecord] = []
         self._statement_delta = GraphDelta()
         self._transaction_delta = GraphDelta()
 
@@ -112,8 +101,10 @@ class Transaction:
         return finished
 
     def write_count(self) -> int:
-        """Number of primitive writes applied so far (undo log length)."""
-        return len(self._undo_log)
+        """Number of primitive writes applied so far (journal length)."""
+        return len(self._transaction_delta.operations()) + len(
+            self._statement_delta.operations()
+        )
 
     # ------------------------------------------------------------------
     # reads (pass-through to the store)
@@ -136,10 +127,9 @@ class Transaction:
         labels: Iterable[str] | None = None,
         properties: Mapping[str, Any] | None = None,
     ) -> Node:
-        """Create a node, recording undo and delta information."""
+        """Create a node, recording it in the statement delta."""
         self._require_active()
         node = self.graph.create_node(labels=labels, properties=properties)
-        self._undo_log.append(UndoNodeCreation(node.id))
         self._statement_delta.record_node_created(node)
         return node
 
@@ -150,10 +140,9 @@ class Transaction:
         end: int,
         properties: Mapping[str, Any] | None = None,
     ) -> Relationship:
-        """Create a relationship, recording undo and delta information."""
+        """Create a relationship, recording it in the statement delta."""
         self._require_active()
         rel = self.graph.create_relationship(rel_type, start, end, properties=properties)
-        self._undo_log.append(UndoRelationshipCreation(rel.id))
         self._statement_delta.record_relationship_created(rel)
         return rel
 
@@ -164,7 +153,6 @@ class Transaction:
             for rel in self.graph.relationships_of(node_id):
                 self.delete_relationship(rel.id)
         node = self.graph.delete_node(node_id, detach=False)
-        self._undo_log.append(UndoNodeDeletion(node))
         self._statement_delta.record_node_deleted(node)
         return node
 
@@ -172,7 +160,6 @@ class Transaction:
         """Delete a relationship."""
         self._require_active()
         rel = self.graph.delete_relationship(rel_id)
-        self._undo_log.append(UndoRelationshipDeletion(rel))
         self._statement_delta.record_relationship_deleted(rel)
         return rel
 
@@ -181,7 +168,6 @@ class Transaction:
         self._require_active()
         old, new = self.graph.add_label(node_id, label)
         if old is not new:
-            self._undo_log.append(UndoLabelAddition(node_id, label))
             self._statement_delta.record_label_assigned(new, label)
         return new
 
@@ -190,7 +176,6 @@ class Transaction:
         self._require_active()
         old, new = self.graph.remove_label(node_id, label)
         if old is not new:
-            self._undo_log.append(UndoLabelRemoval(node_id, label))
             self._statement_delta.record_label_removed(old, label)
         return new
 
@@ -201,7 +186,6 @@ class Transaction:
             return self.remove_node_property(node_id, key)
         old, new = self.graph.set_node_property(node_id, key, value)
         old_value = old.properties.get(key)
-        self._undo_log.append(UndoNodePropertyChange(node_id, key, old_value))
         self._statement_delta.record_property_assigned(new, key, old_value, new.properties[key])
         return new
 
@@ -211,7 +195,6 @@ class Transaction:
         old, new = self.graph.remove_node_property(node_id, key)
         if old is not new:
             old_value = old.properties.get(key)
-            self._undo_log.append(UndoNodePropertyChange(node_id, key, old_value))
             self._statement_delta.record_property_removed(old, key, old_value)
         return new
 
@@ -222,7 +205,6 @@ class Transaction:
             return self.remove_relationship_property(rel_id, key)
         old, new = self.graph.set_relationship_property(rel_id, key, value)
         old_value = old.properties.get(key)
-        self._undo_log.append(UndoRelationshipPropertyChange(rel_id, key, old_value))
         self._statement_delta.record_property_assigned(new, key, old_value, new.properties[key])
         return new
 
@@ -232,7 +214,6 @@ class Transaction:
         old, new = self.graph.remove_relationship_property(rel_id, key)
         if old is not new:
             old_value = old.properties.get(key)
-            self._undo_log.append(UndoRelationshipPropertyChange(rel_id, key, old_value))
             self._statement_delta.record_property_removed(old, key, old_value)
         return new
 
@@ -247,9 +228,9 @@ class Transaction:
 
     def _rollback_changes(self) -> None:
         self._require_active()
-        for record in reversed(self._undo_log):
-            record.undo(self.graph)
-        self._undo_log.clear()
+        for delta in (self._statement_delta, self._transaction_delta):
+            for kind, record in reversed(delta.operations()):
+                revert(self.graph, kind, record)
         self._statement_delta = GraphDelta()
         self._transaction_delta = GraphDelta()
         self.state = TransactionState.ROLLED_BACK

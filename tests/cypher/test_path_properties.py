@@ -67,8 +67,11 @@ def forest_graphs(draw):
     return graph
 
 
+#: Every query caps its hop window: on random multigraphs an unbounded
+#: ``*`` enumerates every relationship-unique trail (up to 14! of them when
+#: the drawn edges are all self-loops on node 0), on both routes.
 VARLEN_QUERIES = [
-    "MATCH (a {i: 0})-[:R*]->(b) RETURN b.i AS i",
+    "MATCH (a {i: 0})-[:R*..4]->(b) RETURN b.i AS i",
     "MATCH (a {i: 0})-[:R*0..3]->(b) RETURN b.i AS i",
     "MATCH (a {i: 0})-[:R*2..4]->(b) RETURN b.i AS i",
     "MATCH (a {i: 1})<-[:R*1..3]-(b) RETURN b.i AS i",
@@ -76,6 +79,9 @@ VARLEN_QUERIES = [
     "MATCH p = (a {i: 0})-[:R*1..3]->(b) RETURN [n IN nodes(p) | n.i] AS walk, "
     "[r IN relationships(p) | id(r)] AS ids",
 ]
+
+#: Forests (plus at most three extra edges) keep the unbounded case small.
+FOREST_QUERIES = VARLEN_QUERIES + ["MATCH (a {i: 0})-[:R*]->(b) RETURN b.i AS i"]
 
 SHORTEST_QUERIES = [
     "MATCH p = shortestPath((a {i: 0})-[:R*..4]->(b {i: 1})) "
@@ -108,7 +114,7 @@ def test_accelerated_matches_naive(graph, query):
 
 
 @settings(max_examples=60, deadline=None)
-@given(graph=forest_graphs(), query=st.sampled_from(VARLEN_QUERIES))
+@given(graph=forest_graphs(), query=st.sampled_from(FOREST_QUERIES))
 def test_accelerated_forest_matches_naive(graph, query):
     expected = run(graph, query, naive_paths=True)
     graph.create_reachability_index("R")
@@ -126,7 +132,7 @@ def test_shortest_fast_route_matches_naive(graph, query):
 @settings(max_examples=40, deadline=None)
 @given(
     graph=forest_graphs(),
-    query=st.sampled_from(VARLEN_QUERIES),
+    query=st.sampled_from(FOREST_QUERIES),
     extra_edges=st.lists(
         st.tuples(
             st.integers(min_value=0, max_value=MAX_NODES - 1),

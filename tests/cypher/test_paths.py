@@ -314,6 +314,19 @@ class TestShortestPath:
         )
         assert list(result) == [{"len": 2}]  # shortcut excluded by min_hops
 
+    def test_min_hops_route_handles_paths_deeper_than_recursion_limit(self):
+        graph = PropertyGraph()
+        ids = [graph.create_node(["N"], {"i": i}).id for i in range(1500)]
+        for a, b in zip(ids, ids[1:]):
+            graph.create_relationship("R", a, b)
+        for hops in ("1..1499", "2..1499"):
+            result = execute(
+                graph,
+                f"MATCH p = shortestPath((a:N {{i: 0}})-[:R*{hops}]->(b:N {{i: 1499}})) "
+                "RETURN length(p) AS l",
+            )
+            assert list(result) == [{"l": 1499}]
+
     def test_path_wire_encoding(self, chain_graph):
         from repro.server.wire import to_wire
 

@@ -59,6 +59,10 @@ operations = st.one_of(
     st.tuples(st.just("delete_rel"), st.integers(0, 30)),
 )
 
+#: Operations inside one transaction, with statement boundaries mixed in so
+#: rollback has both a folded transaction journal and an open statement's.
+tx_operations = st.one_of(operations, st.just(("end_statement",)))
+
 
 def _apply_operation(target, operation) -> None:
     """Apply one random operation through a Transaction-like writer."""
@@ -90,6 +94,8 @@ def _apply_operation(target, operation) -> None:
     elif kind == "delete_rel" and rel_ids:
         _, index = operation
         target.delete_relationship(rel_ids[index % len(rel_ids)])
+    elif kind == "end_statement":
+        target.end_statement()
 
 
 def _graph_snapshot(graph: PropertyGraph):
@@ -140,7 +146,7 @@ class TestStoreInvariants:
 
 
 class TestTransactionInvariants:
-    @given(st.lists(operations, max_size=25), st.lists(operations, max_size=25))
+    @given(st.lists(operations, max_size=25), st.lists(tx_operations, max_size=25))
     @settings(max_examples=60, deadline=None)
     def test_rollback_restores_exact_state(self, setup_ops, tx_ops):
         graph = PropertyGraph()

@@ -9,15 +9,9 @@ accounting on the fast suppress path.
 """
 
 import datetime as dt
-import itertools
 
 from repro.cypher.planner import PLAN_CACHE
-from repro.graph.store import PropertyGraph
-from repro.triggers.ast import ActionTime, EventType, ItemKind, TriggerDefinition
-from repro.triggers.engine import _DeltaLabelSummary, _may_activate
-from repro.triggers.events import compute_activations
 from repro.triggers.session import GraphSession
-from repro.tx.transaction import Transaction
 
 CLOCK = lambda: dt.datetime(2021, 3, 14, 12, 0, 0)  # noqa: E731
 
@@ -139,62 +133,3 @@ class TestFastSuppressPath:
             session.run("CREATE (:Entity)")
         totals = sorted(a["total"] for a in session.alerts())
         assert totals == [3, 4]
-
-
-class TestPrefilterConsistency:
-    """_may_activate must over-approximate compute_activations.
-
-    The engine skips a trigger entirely when the prefilter says no, so a
-    divergence from the events-module targeting rules fails in the silent
-    direction (triggers never fire).  This exercises every change kind in
-    one delta against a full matrix of trigger shapes and asserts the
-    implication: activations present => prefilter says maybe.
-    """
-
-    def build_delta(self):
-        graph = PropertyGraph()
-        tx = Transaction(graph)
-        lineage = tx.create_node(["Lineage"], {"name": "B.1.1.7", "who": "Alpha"})
-        seq = tx.create_node(["Sequence"], {"acc": "A1"})
-        doomed = tx.create_node(["Sequence"], {"acc": "A2"})
-        rel = tx.create_relationship("BelongsTo", seq.id, lineage.id, {"since": 2020})
-        doomed_rel = tx.create_relationship("BelongsTo", doomed.id, lineage.id)
-        tx.set_node_property(lineage.id, "who", "Delta")
-        tx.add_label(lineage.id, "VariantOfConcern")
-        tx.remove_label(lineage.id, "VariantOfConcern")
-        tx.set_relationship_property(rel.id, "since", 2021)
-        tx.remove_relationship_property(rel.id, "since")
-        tx.remove_node_property(lineage.id, "who")
-        tx.delete_relationship(doomed_rel.id)
-        tx.delete_node(doomed.id)
-        return tx.statement_delta
-
-    def test_prefilter_over_approximates_activations(self):
-        delta = self.build_delta()
-        summary = _DeltaLabelSummary(delta)
-        labels = ["Lineage", "Sequence", "VariantOfConcern", "BelongsTo", "Absent"]
-        properties = [None, "who", "since", "acc", "other"]
-        checked = 0
-        for event, item, label, prop in itertools.product(
-            EventType, ItemKind, labels, properties
-        ):
-            if prop is not None and event in (EventType.CREATE, EventType.DELETE):
-                continue  # illegal combination per Section 4.2
-            trigger = TriggerDefinition(
-                name="probe",
-                time=ActionTime.AFTER,
-                event=event,
-                label=label,
-                property=prop,
-                item=item,
-                statement="CREATE (:X)",
-            )
-            activations = compute_activations(trigger, delta)
-            if activations:
-                assert _may_activate(trigger, summary), (
-                    f"prefilter dropped an activating trigger: "
-                    f"{event.value} {item.value} ON {label}"
-                    + (f".{prop}" if prop else "")
-                )
-            checked += 1
-        assert checked > 100  # the matrix actually covered the space

@@ -1,4 +1,4 @@
-"""Tests for transactions: write capture, undo log, statement boundaries."""
+"""Tests for transactions: write capture, journal rollback, statement boundaries."""
 
 import pytest
 
