@@ -2,7 +2,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-storage test-concurrency test-paths test-optimizer test-triggers lint bench bench-smoke explain-demo optimizer-demo serve
+.PHONY: test test-storage test-concurrency test-paths test-optimizer test-triggers test-cypher lint bench bench-smoke explain-demo optimizer-demo serve
 
 ## Run the full tier-1 suite (unit + integration + benchmark assertions).
 test:
@@ -37,6 +37,13 @@ test-optimizer:
 ## trigger install/drop, with Hypothesis randomized streams).
 test-triggers:
 	$(PYTHON) -m pytest tests/triggers -q
+
+## The Cypher suite alone: lexer/parser, expression, planner and executor
+## units (streaming, physical operators, paths, plan cache) plus the
+## property-based join-ordering, parser round-trip and streaming-vs-eager
+## differentials.
+test-cypher:
+	$(PYTHON) -m pytest tests/cypher tests/test_join_ordering_properties.py tests/test_properties.py -q
 
 ## Static checks (requires ruff: `pip install ruff`; CI installs it).
 lint:

@@ -51,6 +51,7 @@ from __future__ import annotations
 import datetime as _dt
 import heapq
 import itertools
+import operator
 from dataclasses import replace as _dc_replace
 from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -94,7 +95,7 @@ from .ast import (
     walk_expression,
 )
 from .errors import CypherError, CypherRuntimeError, CypherTypeError, UnsupportedFeatureError
-from .expressions import EvaluationContext, evaluate
+from .expressions import EvaluationContext, compile_expression, evaluate
 from .functions import AGGREGATE_FUNCTIONS, is_aggregate_function
 from .physical import HashJoin, JoinOperator
 from .planner import (
@@ -446,13 +447,22 @@ class QueryExecutor:
 
     def _iter_match(self, clause: MatchClause, rows: Iterator[dict]) -> Iterator[dict]:
         steps = self._match_steps(clause)
+        # A lone one-node pattern needs no path machinery: its candidates
+        # are filtered directly, unless a path variable or the batched
+        # tier's match memo needs the general route.
+        scan = None
+        pattern = steps[0][0]
+        if len(steps) == 1 and len(pattern.elements) == 1 and pattern.variable is None:
+            if not self.memoize_match:
+                plan = self._plan.for_pattern(pattern) if self._plan is not None else None
+                scan = (pattern.elements[0], plan.start if plan is not None else None)
         # Hash-join build tables live per MATCH *stage*: one pipeline pass
         # over (possibly many) input rows shares them, keyed by the build
         # pattern's dependency bindings so rows differing in a dependency
         # can never alias (same contract as the match memo).
         join_state: dict[tuple, _JoinTable] = {}
         for row in rows:
-            yield from self._iter_match_row(clause, steps, row, join_state)
+            yield from self._iter_match_row(clause, steps, row, join_state, scan)
 
     def _match_steps(
         self, clause: MatchClause
@@ -484,11 +494,19 @@ class QueryExecutor:
         steps: Sequence[tuple[PathPattern, Optional[JoinOperator]]],
         row: dict,
         join_state: dict,
+        scan: tuple[NodePattern, AccessPath | None] | None,
     ) -> Iterator[dict]:
         """All bindings one input row produces for a MATCH clause, lazily."""
         produced = False
-        for candidate in self._iter_join_steps(steps, 0, dict(row), join_state):
-            if clause.where is not None and self._evaluate(clause.where, candidate) is not True:
+        if scan is None:
+            candidates = self._iter_join_steps(steps, 0, dict(row), join_state)
+        else:
+            pairs = self._candidate_nodes(scan[0], row, scan[1])
+            candidates = map(operator.itemgetter(1), pairs)  # (node, bindings) -> bindings
+        where = None if clause.where is None else compile_expression(clause.where)
+        context = self._context()
+        for candidate in candidates:
+            if where is not None and where(candidate, context) is not True:
                 continue
             produced = True
             yield candidate
@@ -1411,7 +1429,7 @@ class QueryExecutor:
             elif label not in node.labels:
                 return False
         for key, expr in node_pattern.properties:
-            expected = self._evaluate(expr, row)
+            expected = compile_expression(expr)(row, self._context())
             if node.properties.get(key) != expected:
                 return False
         return True

@@ -1,7 +1,9 @@
 """Expression evaluation for the Cypher subset.
 
-The evaluator is a straightforward tree-walker over the AST defined in
-:mod:`repro.cypher.ast`.  It follows openCypher's three-valued logic:
+Each AST node (:mod:`repro.cypher.ast`) is compiled once, on first
+evaluation, into a closure over its children's closures
+(:func:`compile_expression`), so a row pays no per-node dispatch.
+Evaluation follows openCypher's three-valued logic:
 ``null`` propagates through comparisons and arithmetic, ``AND``/``OR``
 use Kleene logic, and rows whose WHERE predicate evaluates to ``null`` are
 filtered out (the executor treats only ``True`` as passing).
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import datetime as _dt
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Optional
 
@@ -94,80 +97,110 @@ class EvaluationContext:
         return None
 
 
+#: A compiled expression: ``(row, context) -> value``.
+Compiled = Callable[[Mapping[str, Any], EvaluationContext], Any]
+
+
 def evaluate(expr: Expression, row: Mapping[str, Any], context: EvaluationContext) -> Any:
-    """Evaluate ``expr`` against one binding ``row``.
+    """Evaluate ``expr`` against one binding ``row``."""
+    return compile_expression(expr)(row, context)
 
-    Dispatch is a ``type(expr)``-keyed table (expression evaluation sits on
-    the trigger-condition and MATCH-filter hot paths); unexpected subclasses
-    fall back to the isinstance-based path below.
+
+def compile_expression(expr: Expression) -> Compiled:
+    """The closure computing ``expr``, built once from its children's closures.
+
+    Cached on the AST node itself, by identity: ``Literal(1) == Literal(True)``
+    and both hash alike, so a value-keyed cache would answer ``1`` for ``true``
+    (threads racing on a first use build equal closures).  Closures read
+    parameters, the clock and aggregates from ``context`` at call time (plans
+    are shared across executions) and raise only when called, never earlier.
     """
-    handler = _DISPATCH.get(type(expr))
-    if handler is not None:
-        return handler(expr, row, context)
-    return _evaluate_fallback(expr, row, context)
+    try:
+        return expr._compiled
+    except AttributeError:
+        pass
+    compiled = _COMPILERS.get(type(expr), _compile_unsupported)(expr)
+    object.__setattr__(expr, "_compiled", compiled)  # frozen dataclass: derived state
+    return compiled
 
 
-def _evaluate_fallback(expr: Expression, row: Mapping[str, Any], context: EvaluationContext) -> Any:
-    for node_type, handler in _DISPATCH.items():
-        if isinstance(expr, node_type):
-            return handler(expr, row, context)
-    raise CypherTypeError(f"cannot evaluate expression of type {type(expr).__name__}")
+def _failing(error: type[Exception], message: str) -> Compiled:
+    def fail(row, context):
+        raise error(message)
+    return fail
 
 
-def _evaluate_literal(expr: Literal, row, context) -> Any:
-    return expr.value
+def _compile_unsupported(expr: Expression) -> Compiled:
+    return _failing(CypherTypeError, f"cannot evaluate expression of type {type(expr).__name__}")
 
 
-def _evaluate_parameter(expr: Parameter, row, context) -> Any:
-    if expr.name not in context.parameters:
-        raise CypherRuntimeError(f"missing query parameter ${expr.name}")
-    return context.parameters[expr.name]
+def _compile_literal(expr: Literal) -> Compiled:
+    value = expr.value
+    return lambda row, context: value
 
 
-def _evaluate_variable(expr: Variable, row, context) -> Any:
-    if expr.name in row:
-        return row[expr.name]
-    if expr.name in context.parameters:
-        return context.parameters[expr.name]
-    raise CypherRuntimeError(f"unknown variable {expr.name!r}")
+def _compile_parameter(expr: Parameter) -> Compiled:
+    name = expr.name
+    def parameter(row, context):
+        if name not in context.parameters:
+            raise CypherRuntimeError(f"missing query parameter ${name}")
+        return context.parameters[name]
+    return parameter
 
 
-def _evaluate_list_literal(expr: ListLiteral, row, context) -> Any:
-    return [evaluate(item, row, context) for item in expr.items]
+def _compile_variable(expr: Variable) -> Compiled:
+    name = expr.name
+    def variable(row, context):
+        if name in row:
+            return row[name]
+        if name in context.parameters:
+            return context.parameters[name]
+        raise CypherRuntimeError(f"unknown variable {name!r}")
+    return variable
 
 
-def _evaluate_map_literal(expr: MapLiteral, row, context) -> Any:
-    return {key: evaluate(value, row, context) for key, value in expr.entries}
+def _compile_list_literal(expr: ListLiteral) -> Compiled:
+    items = tuple(compile_expression(item) for item in expr.items)
+    return lambda row, context: [item(row, context) for item in items]
 
 
-def _evaluate_is_null(expr: IsNull, row, context) -> Any:
-    value = evaluate(expr.operand, row, context)
-    return (value is not None) if expr.negated else (value is None)
+def _compile_map_literal(expr: MapLiteral) -> Compiled:
+    entries = tuple((key, compile_expression(value)) for key, value in expr.entries)
+    return lambda row, context: {key: value(row, context) for key, value in entries}
 
 
-def _evaluate_case(expr: CaseExpression, row, context) -> Any:
-    for condition, value in expr.whens:
-        if evaluate(condition, row, context) is True:
-            return evaluate(value, row, context)
-    if expr.default is not None:
-        return evaluate(expr.default, row, context)
-    return None
+def _compile_is_null(expr: IsNull) -> Compiled:
+    operand, negated = compile_expression(expr.operand), expr.negated
+    return lambda row, context: (operand(row, context) is None) is not negated
 
 
-def _evaluate_exists(expr: ExistsPattern, row, context) -> Any:
-    if context.pattern_matcher is None:
-        raise CypherRuntimeError("EXISTS patterns require a query execution context")
-    return context.pattern_matcher(expr, dict(row))
+def _compile_case(expr: CaseExpression) -> Compiled:
+    whens = tuple((compile_expression(c), compile_expression(v)) for c, v in expr.whens)
+    default = None if expr.default is None else compile_expression(expr.default)
+    def case(row, context):
+        for condition, value in whens:
+            if condition(row, context) is True:
+                return value(row, context)
+        return None if default is None else default(row, context)
+    return case
 
 
-def _evaluate_count_star(expr: CountStar, row, context) -> Any:
-    return _aggregate_value(expr, context)
+def _compile_exists(expr: ExistsPattern) -> Compiled:
+    def exists(row, context):
+        if context.pattern_matcher is None:
+            raise CypherRuntimeError("EXISTS patterns require a query execution context")
+        return context.pattern_matcher(expr, dict(row))
+    return exists
 
 
-def _evaluate_function_call(expr: FunctionCall, row, context) -> Any:
-    if is_aggregate_function(expr.name):
-        return _aggregate_value(expr, context)
-    return _evaluate_scalar_call(expr, row, context)
+def _compile_function_call(expr: FunctionCall) -> Compiled:
+    if isinstance(expr, CountStar) or is_aggregate_function(expr.name):
+        return lambda row, context: _aggregate_value(expr, context)
+    implementation = SCALAR_FUNCTIONS.get(expr.name)
+    if implementation is None:
+        return _failing(CypherRuntimeError, f"unknown function {expr.name}()")
+    args = tuple(compile_expression(argument) for argument in expr.args)
+    return lambda row, context: implementation([arg(row, context) for arg in args], context)
 
 
 # ---------------------------------------------------------------------------
@@ -183,42 +216,50 @@ def _aggregate_value(expr: Expression, context: EvaluationContext) -> Any:
     return context.aggregate_lookup[id(expr)]
 
 
-def _evaluate_property(expr: PropertyAccess, row, context) -> Any:
-    subject = evaluate(expr.subject, row, context)
-    if subject is None:
-        return None
-    if isinstance(subject, (Node, Relationship)):
-        # Snapshots are read as bound: a trigger's OLD variable must keep the
-        # pre-event values even though the stored item has since changed.
-        # Variables bound by MATCH/SET always hold current snapshots.
-        return subject.properties.get(expr.key)
-    if isinstance(subject, Mapping):
-        return subject.get(expr.key)
-    raise CypherTypeError(
-        f"cannot access property {expr.key!r} on value of type {type(subject).__name__}"
-    )
-
-
-def _evaluate_label_predicate(expr: LabelPredicate, row, context) -> Any:
-    subject = evaluate(expr.subject, row, context)
-    if subject is None:
-        return None
-    if isinstance(subject, Node):
-        return all(label in subject.labels for label in expr.labels)
-    if isinstance(subject, Relationship):
-        return all(label == subject.type for label in expr.labels)
-    raise CypherTypeError("label predicate requires a node or relationship")
-
-
-def _evaluate_unary(expr: UnaryOp, row, context) -> Any:
-    value = evaluate(expr.operand, row, context)
-    if expr.op == "NOT":
+def _compile_property(expr: PropertyAccess) -> Compiled:
+    subject, key = compile_expression(expr.subject), expr.key
+    def property_access(row, context):
+        value = subject(row, context)
         if value is None:
             return None
-        return not _as_boolean(value)
-    if expr.op == "-":
-        return None if value is None else -value
-    raise CypherTypeError(f"unknown unary operator {expr.op}")
+        if isinstance(value, (Node, Relationship)):
+            # Snapshots are read as bound: a trigger's OLD variable must keep
+            # the pre-event values even though the stored item has since
+            # changed.  Variables bound by MATCH/SET always hold current
+            # snapshots.
+            return value.properties.get(key)
+        if isinstance(value, Mapping):
+            return value.get(key)
+        raise CypherTypeError(
+            f"cannot access property {key!r} on value of type {type(value).__name__}"
+        )
+    return property_access
+
+
+def _compile_label_predicate(expr: LabelPredicate) -> Compiled:
+    subject, labels = compile_expression(expr.subject), expr.labels
+    def label_predicate(row, context):
+        value = subject(row, context)
+        if value is None:
+            return None
+        if isinstance(value, Node):
+            return all(label in value.labels for label in labels)
+        if isinstance(value, Relationship):
+            return all(label == value.type for label in labels)
+        raise CypherTypeError("label predicate requires a node or relationship")
+    return label_predicate
+
+
+def _compile_unary(expr: UnaryOp) -> Compiled:
+    operand, op = compile_expression(expr.operand), expr.op
+    def unary(row, context):
+        value = operand(row, context)
+        if op == "NOT":
+            return None if value is None else not _as_boolean(value)
+        if op == "-":
+            return None if value is None else -value
+        raise CypherTypeError(f"unknown unary operator {op}")
+    return unary
 
 
 def _as_boolean(value: Any) -> bool:
@@ -227,92 +268,52 @@ def _as_boolean(value: Any) -> bool:
     raise CypherTypeError(f"expected a boolean, got {type(value).__name__}: {value!r}")
 
 
-def _evaluate_binary(expr: BinaryOp, row, context) -> Any:
-    op = expr.op
-    if op in ("AND", "OR", "XOR"):
-        return _evaluate_logical(op, expr, row, context)
-
-    left = evaluate(expr.left, row, context)
-    right = evaluate(expr.right, row, context)
-
+def _compile_binary(expr: BinaryOp) -> Compiled:
+    op, left, right = expr.op, compile_expression(expr.left), compile_expression(expr.right)
+    if op in ("AND", "OR"):
+        return _compile_and_or(op == "AND", left, right)
+    if op == "XOR":
+        def exclusive(row, context):
+            lhs = left(row, context)
+            lhs = None if lhs is None else _as_boolean(lhs)
+            rhs = right(row, context)
+            rhs = None if rhs is None else _as_boolean(rhs)
+            return None if lhs is None or rhs is None else lhs != rhs
+        return exclusive
     if op == "IN":
-        if right is None:
+        def membership(row, context):
+            value, container = left(row, context), right(row, context)
+            return None if container is None else _value_in_list(value, container)
+        return membership
+    apply = _BINARY_OPERATORS.get(op)
+    def binary(row, context):
+        lhs, rhs = left(row, context), right(row, context)
+        if lhs is None or rhs is None:
             return None
-        return _value_in_list(left, right)
-    if left is None or right is None:
-        return None
-    if op == "=":
-        return _values_equal(left, right)
-    if op == "<>":
-        return not _values_equal(left, right)
-    if op in ("<", "<=", ">", ">="):
-        return _compare(op, left, right)
-    if op == "+":
-        if isinstance(left, list) and isinstance(right, list):
-            return left + right
-        if isinstance(left, str) or isinstance(right, str):
-            return f"{left}{right}"
-        return left + right
-    if op == "-":
-        return left - right
-    if op == "*":
-        return left * right
-    if op == "/":
-        if isinstance(left, int) and isinstance(right, int):
-            if right == 0:
-                raise CypherRuntimeError("division by zero")
-            # openCypher integer division truncates toward zero.
-            return int(left / right)
-        if right == 0:
-            # Floats follow IEEE 754, as in openCypher: 0/0 is NaN,
-            # anything else a signed infinity.
-            if left == 0 or left != left:
-                return math.nan
-            return math.copysign(math.inf, left) * math.copysign(1.0, right)
-        return left / right
-    if op == "%":
-        if right == 0:
-            if isinstance(left, int) and isinstance(right, int):
-                raise CypherRuntimeError("division by zero")
-            return math.nan
-        return left % right
-    if op == "^":
-        return float(left) ** float(right)
-    if op == "CONTAINS":
-        return str(right) in str(left)
-    if op == "STARTS WITH":
-        return str(left).startswith(str(right))
-    if op == "ENDS WITH":
-        return str(left).endswith(str(right))
-    raise CypherTypeError(f"unknown binary operator {op}")
+        if apply is None:
+            raise CypherTypeError(f"unknown binary operator {op}")
+        return apply(lhs, rhs)
+    return binary
 
 
-def _evaluate_logical(op: str, expr: BinaryOp, row, context) -> Any:
-    left = evaluate(expr.left, row, context)
-    left = None if left is None else _as_boolean(left)
-    # Short-circuit where three-valued logic allows it.
-    if op == "AND" and left is False:
-        return False
-    if op == "OR" and left is True:
-        return True
-    right = evaluate(expr.right, row, context)
-    right = None if right is None else _as_boolean(right)
-    if op == "AND":
-        if left is False or right is False:
-            return False
-        if left is None or right is None:
-            return None
-        return True
-    if op == "OR":
-        if left is True or right is True:
-            return True
-        if left is None or right is None:
-            return None
-        return False
-    # XOR
-    if left is None or right is None:
-        return None
-    return left != right
+def _compile_and_or(conjunction: bool, left: Compiled, right: Compiled) -> Compiled:
+    """Kleene AND (``conjunction``) or OR.  An operand that is neither a
+    boolean nor null raises as soon as it is evaluated, and the right
+    operand is skipped when the left one decides the result."""
+    decisive = not conjunction  # False decides an AND, True an OR
+    def logical(row, context):
+        lhs = left(row, context)
+        if lhs is decisive:
+            return decisive
+        if lhs is not None and lhs is not conjunction:
+            _as_boolean(lhs)
+        rhs = right(row, context)
+        if rhs is decisive:
+            return decisive
+        if rhs is not None and rhs is not conjunction:
+            _as_boolean(rhs)
+        return None if lhs is None or rhs is None else conjunction
+    return logical
 
 
 def _values_equal(left: Any, right: Any) -> bool:
@@ -323,19 +324,66 @@ def _values_equal(left: Any, right: Any) -> bool:
     return left == right
 
 
-def _compare(op: str, left: Any, right: Any) -> Any:
-    try:
-        if op == "<":
-            return left < right
-        if op == "<=":
-            return left <= right
-        if op == ">":
-            return left > right
-        return left >= right
-    except TypeError:
-        raise CypherTypeError(
-            f"cannot compare {type(left).__name__} with {type(right).__name__}"
-        ) from None
+def _ordering(compare: Callable[[Any, Any], bool]) -> Callable[[Any, Any], bool]:
+    def ordered(left: Any, right: Any) -> bool:
+        try:
+            return compare(left, right)
+        except TypeError:
+            raise CypherTypeError(
+                f"cannot compare {type(left).__name__} with {type(right).__name__}"
+            ) from None
+    return ordered
+
+
+def _add(left: Any, right: Any) -> Any:
+    if isinstance(left, list) and isinstance(right, list):
+        return left + right
+    if isinstance(left, str) or isinstance(right, str):
+        return f"{left}{right}"
+    return left + right
+
+
+def _divide(left: Any, right: Any) -> Any:
+    if isinstance(left, int) and isinstance(right, int):
+        if right == 0:
+            raise CypherRuntimeError("division by zero")
+        # openCypher integer division truncates toward zero.
+        return int(left / right)
+    if right == 0:
+        # Floats follow IEEE 754, as in openCypher: 0/0 is NaN,
+        # anything else a signed infinity.
+        if left == 0 or left != left:
+            return math.nan
+        return math.copysign(math.inf, left) * math.copysign(1.0, right)
+    return left / right
+
+
+def _modulo(left: Any, right: Any) -> Any:
+    if right == 0:
+        if isinstance(left, int) and isinstance(right, int):
+            raise CypherRuntimeError("division by zero")
+        return math.nan
+    return left % right
+
+
+#: Binary operators on two non-null operands.
+_BINARY_OPERATORS: dict[str, Callable[[Any, Any], Any]] = {
+    "=": _values_equal,
+    "<>": lambda left, right: not _values_equal(left, right),
+    "<": _ordering(operator.lt),
+    "<=": _ordering(operator.le),
+    ">": _ordering(operator.gt),
+    ">=": _ordering(operator.ge),
+    "+": _add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": _divide,
+    "%": _modulo,
+    "^": lambda left, right: float(left) ** float(right),
+    "CONTAINS": lambda left, right: str(right) in str(left),
+    "STARTS WITH": lambda left, right: str(left).startswith(str(right)),
+    "ENDS WITH": lambda left, right: str(left).endswith(str(right)),
+}
 
 
 def _value_in_list(value: Any, container: Any) -> Any:
@@ -353,64 +401,60 @@ def _value_in_list(value: Any, container: Any) -> Any:
     return False
 
 
-def _evaluate_list_index(expr: ListIndex, row, context) -> Any:
-    subject = evaluate(expr.subject, row, context)
-    index = evaluate(expr.index, row, context)
-    if subject is None or index is None:
-        return None
-    if isinstance(subject, Mapping):
-        return subject.get(index)
-    if isinstance(subject, (list, tuple)):
-        position = int(index)
-        if -len(subject) <= position < len(subject):
-            return subject[position]
-        return None
-    raise CypherTypeError("indexing requires a list or map")
+def _compile_list_index(expr: ListIndex) -> Compiled:
+    subject, index = compile_expression(expr.subject), compile_expression(expr.index)
+    def list_index(row, context):
+        value, position = subject(row, context), index(row, context)
+        if value is None or position is None:
+            return None
+        if isinstance(value, Mapping):
+            return value.get(position)
+        if isinstance(value, (list, tuple)):
+            position = int(position)
+            if -len(value) <= position < len(value):
+                return value[position]
+            return None
+        raise CypherTypeError("indexing requires a list or map")
+    return list_index
 
 
-def _evaluate_list_comprehension(expr: ListComprehension, row, context) -> Any:
-    source = evaluate(expr.source, row, context)
-    if source is None:
-        return None
-    if not isinstance(source, (list, tuple)):
-        raise CypherTypeError("list comprehension requires a list source")
-    result = []
-    scope = dict(row)
-    for element in source:
-        scope[expr.variable] = element
-        if expr.where is not None and evaluate(expr.where, scope, context) is not True:
-            continue
-        if expr.projection is not None:
-            result.append(evaluate(expr.projection, scope, context))
-        else:
-            result.append(element)
-    return result
+def _compile_list_comprehension(expr: ListComprehension) -> Compiled:
+    source, variable = compile_expression(expr.source), expr.variable
+    where = None if expr.where is None else compile_expression(expr.where)
+    projection = None if expr.projection is None else compile_expression(expr.projection)
+    def comprehension(row, context):
+        values = source(row, context)
+        if values is None:
+            return None
+        if not isinstance(values, (list, tuple)):
+            raise CypherTypeError("list comprehension requires a list source")
+        result = []
+        scope = dict(row)
+        for element in values:
+            scope[variable] = element
+            if where is not None and where(scope, context) is not True:
+                continue
+            result.append(element if projection is None else projection(scope, context))
+        return result
+    return comprehension
 
 
-def _evaluate_scalar_call(expr: FunctionCall, row, context) -> Any:
-    implementation = SCALAR_FUNCTIONS.get(expr.name)
-    if implementation is None:
-        raise CypherRuntimeError(f"unknown function {expr.name}()")
-    args = [evaluate(argument, row, context) for argument in expr.args]
-    return implementation(args, context)
-
-
-#: type(expr) -> handler table backing :func:`evaluate`'s fast dispatch.
-_DISPATCH: dict[type, Any] = {
-    Literal: _evaluate_literal,
-    Parameter: _evaluate_parameter,
-    Variable: _evaluate_variable,
-    ListLiteral: _evaluate_list_literal,
-    MapLiteral: _evaluate_map_literal,
-    PropertyAccess: _evaluate_property,
-    LabelPredicate: _evaluate_label_predicate,
-    UnaryOp: _evaluate_unary,
-    BinaryOp: _evaluate_binary,
-    IsNull: _evaluate_is_null,
-    ListIndex: _evaluate_list_index,
-    CaseExpression: _evaluate_case,
-    ListComprehension: _evaluate_list_comprehension,
-    ExistsPattern: _evaluate_exists,
-    CountStar: _evaluate_count_star,
-    FunctionCall: _evaluate_function_call,
+#: type(expr) -> closure builder, consulted once per AST node.
+_COMPILERS: dict[type, Callable[[Any], Compiled]] = {
+    Literal: _compile_literal,
+    Parameter: _compile_parameter,
+    Variable: _compile_variable,
+    ListLiteral: _compile_list_literal,
+    MapLiteral: _compile_map_literal,
+    PropertyAccess: _compile_property,
+    LabelPredicate: _compile_label_predicate,
+    UnaryOp: _compile_unary,
+    BinaryOp: _compile_binary,
+    IsNull: _compile_is_null,
+    ListIndex: _compile_list_index,
+    CaseExpression: _compile_case,
+    ListComprehension: _compile_list_comprehension,
+    ExistsPattern: _compile_exists,
+    CountStar: _compile_function_call,
+    FunctionCall: _compile_function_call,
 }

@@ -28,10 +28,11 @@ Two things live here:
   - ``LabelScan`` — a label-index scan over the most selective label;
   - ``AllNodesScan`` — a full node scan.
 
-  When the cheapest entry point is the *last* node of a path, the planner
-  re-orders the pattern start point by reversing the element sequence
-  (flipping relationship directions), which preserves the produced
-  bindings exactly.
+  When the cheapest entry point is the *last* node of a path — or that
+  node is already bound, by an earlier clause or an earlier join step,
+  while the first is not — the planner re-orders the pattern start point
+  by reversing the element sequence (flipping relationship directions),
+  which preserves the produced bindings exactly.
 
   On top of the per-pattern access paths, the planner performs
   **cost-based join ordering** for multi-pattern MATCH clauses
@@ -78,7 +79,7 @@ import threading
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, replace as _dc_replace
-from typing import Iterable, Iterator, Optional, Union
+from typing import Callable, Collection, Iterable, Iterator, Optional, Union
 
 from ..graph.statistics import (
     DEFAULT_SELECTIVITY,
@@ -420,6 +421,7 @@ def plan_query(
     projections: list[ProjectionPlan] = []
     filters: list[Filter] = []
     bound: set[str] = set()
+    nodes: set[str] = set()
     for clause in query.clauses:
         if isinstance(clause, MatchClause):
             sargable = _sargable_predicates(clause.where)
@@ -437,29 +439,22 @@ def plan_query(
             ]
             if any(external):
                 sargable = _SargablePredicates()
-            clause_plans = [
-                _plan_pattern(
-                    pattern,
-                    sargable,
-                    graph,
-                    virtual,
-                    indexes,
-                    estimator,
-                    allow_index=not any(external),
+
+            def plan_at(index: int, bound: set[str], nodes: set[str]) -> PatternPlan:
+                plan = _plan_pattern(
+                    clause.patterns[index], sargable, graph, virtual, indexes, estimator,
+                    not any(external), bound, nodes,
                 )
-                for pattern in clause.patterns
-            ]
-            if clause.where is not None:
-                clause_plans = [
-                    _with_filtered_rows(plan, clause.where) for plan in clause_plans
-                ]
-            plans.extend(clause_plans)
+                return plan if clause.where is None else _with_filtered_rows(plan, clause.where)
+
+            clause_plans = [plan_at(i, bound, nodes) for i in range(len(clause.patterns))]
             if clause.where is not None:
                 filters.append(Filter(expression=clause.where))
             if len(clause_plans) > 1:
-                join_order = _order_patterns(clause, clause_plans, bound)
+                join_order = _order_patterns(clause, clause_plans, bound, nodes, plan_at)
                 if join_order is not None:
                     join_orders.append(join_order)
+            plans.extend(clause_plans)
         elif isinstance(clause, MergeClause):
             # MERGE's match phase benefits from the same start-point choice;
             # only inline property maps are sargable here (no WHERE).
@@ -470,7 +465,7 @@ def plan_query(
             )
         elif isinstance(clause, (WithClause, ReturnClause)):
             projections.append(_plan_projection(clause))
-        bound = _advance_bound_variables(clause, bound)
+        bound, nodes = _advance_bound_variables(clause, bound, nodes)
     plans, projections = _apply_ordered_scan(
         query, graph, virtual, indexes, plans, projections
     )
@@ -492,6 +487,8 @@ def _plan_pattern(
     indexes: _Indexes,
     estimator: CardinalityEstimator,
     allow_index: bool = True,
+    bound: Collection[str] = frozenset(),
+    nodes: Collection[str] = frozenset(),
 ) -> PatternPlan:
     if not allow_index:
         # Scans-only planning for clauses with evaluation-order-dependent
@@ -526,7 +523,13 @@ def _plan_pattern(
         last = pattern.elements[-1]
         assert isinstance(last, NodePattern)
         last_path = _access_path(last, sargable, graph, virtual, indexes, estimator)
-        if last_path.estimated_rows < first_path.estimated_rows:
+        # One end bound to a node (see _advance_bound_variables) and the
+        # other unbound: start at the bound end, a single candidate.
+        anchor_first = first.variable in nodes and last.variable not in bound
+        anchor_last = last.variable in nodes and first.variable not in bound
+        if anchor_last or (
+            not anchor_first and last_path.estimated_rows < first_path.estimated_rows
+        ):
             chosen_elements = _reverse_elements(pattern.elements)
             chosen_path = last_path
             is_reversed = True
@@ -737,6 +740,8 @@ def _order_patterns(
     clause: MatchClause,
     clause_plans: list[PatternPlan],
     bound_before: set[str],
+    nodes_before: set[str],
+    plan_at: Callable[[int, set[str], set[str]], PatternPlan],
 ) -> Optional[JoinOrder]:
     """Greedy cost-based ordering for the patterns of one MATCH clause.
 
@@ -757,6 +762,9 @@ def _order_patterns(
     raise instead of producing the same rows, and whether it is reached
     at all can depend on its clause position.  Such clauses are declined
     (returns None) and keep their written order.
+
+    A nested-loop step whose other end is bound to a node by now is
+    re-planned by ``plan_at``, in ``clause_plans``, to start there.
     """
     for plan in clause_plans:
         if _pattern_has_external_reads(plan.pattern, bound_before):
@@ -769,6 +777,7 @@ def _order_patterns(
         for plan in clause_plans
     )
     bound = set(bound_before)
+    nodes = set(nodes_before)
     remaining = list(range(len(clause_plans)))
     order: list[int] = []
     steps: list[JoinStep] = []
@@ -811,9 +820,17 @@ def _order_patterns(
                 clause_plans[best], best, variables[best] & bound,
                 prior_rows, estimates[best],
             )
+            elements = clause_plans[best].elements
+            if (
+                operator is None
+                and elements[0].variable not in bound
+                and elements[-1].variable in nodes
+            ):
+                clause_plans[best] = plan_at(best, bound, nodes)
         step_cost = max(effective_cost(best), 1.0)  # before bound absorbs it
         order.append(best)
         steps.append(JoinStep(pattern_index=best, operator=operator))
+        nodes |= _node_variable_names(clause.patterns[best]) - bound
         bound |= variables[best]
         remaining.remove(best)
         prior_rows = min(prior_rows * step_cost, 1e12)
@@ -886,12 +903,7 @@ def _connected_hash_join(
     """
     if plan.pattern.shortest is not None:
         return None
-    node_variables = {
-        element.variable
-        for element in plan.elements
-        if isinstance(element, NodePattern) and element.variable
-    }
-    if not shared or not shared <= node_variables:
+    if not shared or not shared <= _node_variable_names(plan.pattern):
         return None
     if plan.elements[0].variable in shared:
         return None  # the nested loop starts bound — already near-free
@@ -1023,31 +1035,57 @@ def _pattern_has_external_reads(pattern: PathPattern, bound_before: set[str]) ->
     return False
 
 
-def _advance_bound_variables(clause, bound: set[str]) -> set[str]:
-    """Variables visible after ``clause``, given ``bound`` before it.
+def _advance_bound_variables(
+    clause, bound: set[str], nodes: set[str]
+) -> tuple[set[str], set[str]]:
+    """Variables visible after ``clause``, and those of them certain to
+    hold an existing node or null, given both sets before it.
 
-    Only used to inform join ordering (a bound start variable makes a
-    pattern near-free), so over- or under-approximating here affects plan
-    quality, never results.
+    The first set only informs join ordering (a bound start variable makes
+    a pattern near-free), so over- or under-approximating it affects plan
+    quality, never results.  The second lets a pattern start from its bound
+    end (:func:`_plan_pattern`), so it never over-approximates: a start at
+    a non-node raises, and one at a deleted node cannot expand, where the
+    written start filtered.  Only MATCH adds to it, the node variables it
+    binds first (a name bound earlier keeps its value through OPTIONAL
+    MATCH padding); WITH keeps those it passes on unchanged; any other
+    clause clears it.
     """
     if isinstance(clause, (MatchClause, CreateClause)):
         out = set(bound)
         for pattern in clause.patterns:
             out |= _pattern_variable_names(pattern)
-        return out
+        if isinstance(clause, CreateClause):
+            return out, set()
+        names = {name for pattern in clause.patterns for name in _node_variable_names(pattern)}
+        return out, nodes | (names - bound)
     if isinstance(clause, MergeClause):
-        return bound | _pattern_variable_names(clause.pattern)
+        return bound | _pattern_variable_names(clause.pattern), set()
     if isinstance(clause, UnwindClause):
-        return bound | {clause.variable}
+        return bound | {clause.variable}, set()
     if isinstance(clause, CallClause):
-        return bound | {alias for _, alias in clause.yield_items}
+        return bound | {alias for _, alias in clause.yield_items}, set()
     if isinstance(clause, (WithClause, ReturnClause)):
         names = {item.output_name() for item in clause.items}
+        kept = {
+            item.output_name()
+            for item in clause.items
+            if isinstance(item.expression, Variable) and item.expression.name == item.output_name()
+        }
         if clause.include_wildcard:
-            return bound | names
+            return bound | names, nodes & (kept | (bound - names))
         # A projecting WITH narrows scope to exactly its output names.
-        return names
-    return bound
+        return names, nodes & kept
+    return bound, set()
+
+
+def _node_variable_names(pattern: PathPattern) -> set[str]:
+    """Variables of the pattern's node elements."""
+    return {
+        element.variable
+        for element in pattern.elements
+        if isinstance(element, NodePattern) and element.variable
+    }
 
 
 def _pattern_properties_static(pattern: PathPattern) -> bool:

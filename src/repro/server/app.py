@@ -349,7 +349,7 @@ class DatabaseServer:
             return 503, {"error": str(exc), "graph": exc.graph, "mode": exc.mode}
         except (CypherError, GraphError, TriggerError, ValueError) as exc:
             return 400, {"error": f"{type(exc).__name__}: {exc}"}
-        except (TransactionError, ResultConsumedError, RuntimeError) as exc:
+        except (TransactionError, ResultConsumedError) as exc:
             return 409, {"error": f"{type(exc).__name__}: {exc}"}
         return 200, {
             "columns": result.keys(),

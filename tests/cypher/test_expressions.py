@@ -256,3 +256,41 @@ class TestCaseAndCollections:
             "desc": "alert",
             "level": 2,
         }
+
+
+class TestCompileCache:
+    """Compiled closures are cached per AST node, by identity.
+
+    ``Literal(1) == Literal(True) == Literal(1.0)`` and all three hash
+    alike, so a cache keyed by node *value* would hand one literal's
+    closure to the others.
+    """
+
+    def test_equal_literals_keep_their_own_value_and_type(self):
+        from repro.triggers import GraphSession
+
+        session = GraphSession()
+        for text, expected in (
+            ("RETURN 1 AS v", 1),
+            ("RETURN true AS v", True),
+            ("RETURN 1.0 AS v", 1.0),
+        ):
+            value = session.run(text).single("v")
+            assert value == expected and type(value) is type(expected), text
+
+    def test_equal_literals_filter_by_their_own_value(self):
+        from repro.triggers import GraphSession
+
+        session = GraphSession()
+        session.run("CREATE (:N {x: 1, tag: 'int'}), (:N {x: true, tag: 'bool'})")
+        for literal, tag in (("true", "bool"), ("1", "int"), ("true", "bool")):
+            tags = session.run(
+                f"MATCH (n:N) WHERE n.x = {literal} RETURN n.tag AS tag"
+            ).values("tag")
+            assert tags == [tag], literal
+
+    def test_parameters_are_read_at_call_time(self, context):
+        expr = parse_expression("$threshold + 1")
+        assert evaluate(expr, {}, context) == 51
+        context.parameters = {"threshold": 7}
+        assert evaluate(expr, {}, context) == 8

@@ -375,6 +375,96 @@ class TestJoinOrdering:
         assert sorted(r["v"] for r in ordered) == sorted(r["v"] for r in naive) == [0, 1]
 
 
+REGION_JOIN = (
+    "MATCH (h:Hospital)-[:LocatedIn]->(r:Region {name: $region}), "
+    "(p:IcuPatient)-[:TreatedAt]->(h), (p:IcuPatient)-[:HasSample]->(s:Sequence) "
+    "RETURN count(DISTINCT p) AS c"
+)
+
+
+class TestBoundEndAnchoring:
+    """A reversible pattern whose start is unbound but whose other end is
+    bound to a node — by an earlier clause or an earlier join step —
+    starts from that end: a single candidate instead of a scan."""
+
+    @pytest.fixture(scope="class")
+    def cov2k(self) -> PropertyGraph:
+        from repro.datasets import Cov2kProfile, generate_cov2k
+
+        return generate_cov2k(Cov2kProfile().scaled(1)).graph
+
+    def test_region_join_starts_at_the_hospital_bound_by_the_first_step(self, cov2k):
+        lines = explain(REGION_JOIN, cov2k).splitlines()
+        # before: start=(p) LabelScan(IcuPatient) -> Expand(-[:TreatedAt]->())
+        assert lines[1].startswith("start=(h) ")
+        assert "Expand(<-[:TreatedAt]-(:IcuPatient))" in lines[1]
+        assert lines[1].endswith("(reversed)")
+        parameters = {"region": "Lombardy"}
+        planned = QueryExecutor(cov2k).execute(REGION_JOIN, parameters).rows
+        naive = QueryExecutor(cov2k, join_ordering=False).execute(REGION_JOIN, parameters).rows
+        assert planned == naive and planned[0]["c"] > 0
+
+    def test_move_to_near_hospital_second_clause_starts_at_bound_hospital(self, cov2k):
+        from repro.cypher.planner import PLAN_CACHE
+        from repro.datasets.paper_triggers import move_to_near_hospital
+        from repro.triggers.parser import parse_trigger
+
+        condition = parse_trigger(move_to_near_hospital()).condition
+        query = PLAN_CACHE.condition_compiled(condition).parsed
+        second = plan_query(query, cov2k).pattern_plans()[1]
+        assert second.pattern is query.clauses[1].patterns[0]
+        assert second.reversed and second.elements[0].variable == "h"
+        assert second.describe().startswith("start=(h) ")
+
+    @pytest.mark.parametrize(
+        "pattern",
+        [
+            "q = (p:Person)-[:KNOWS]->(c)",  # path variable
+            "(p:Person)-[:KNOWS*1..2]->(c)",  # variable-length hop
+            "(p:Person {age: c.age})-[:KNOWS]->(c)",  # map reads a row variable
+            "shortestPath((p:Person)-[:KNOWS*]->(c))",
+            "(p:Person)-[k:KNOWS {since: 30}]->(c)",  # relationship-index start
+        ],
+    )
+    def test_ineligible_patterns_keep_their_written_start(self, pattern):
+        graph = build_graph()
+        graph.create_relationship_property_index("KNOWS", "since")
+        query = f"MATCH (c:Person {{name: 'bob'}}) WITH c MATCH {pattern} RETURN p.name AS name"
+        plan = plan_query(parse_query(query), graph).pattern_plans()[1]
+        assert not plan.reversed and plan.elements[0].variable == "p", plan.describe()
+        rows = [QueryExecutor(graph, **options).execute(query).rows for options in (
+            {}, {"join_ordering": False}, {"eager": True}, {"naive_paths": True}
+        )]
+        assert rows[0] == rows[1] == rows[2] == rows[3]
+
+    def test_eligible_pattern_starts_at_its_bound_end(self):
+        graph = build_graph()
+        query = (
+            "MATCH (c:Person {name: 'carol'}) WITH c "
+            "MATCH (p:Person)-[:KNOWS]->(c) RETURN p.name AS name"
+        )
+        plan = plan_query(parse_query(query), graph).pattern_plans()[1]
+        assert plan.reversed and plan.elements[0].variable == "c"
+        assert sorted(row["name"] for row in execute(graph, query).rows) == ["bob", "dave"]
+
+    @pytest.mark.parametrize(
+        "prefix",
+        [
+            "UNWIND [1, 2] AS c",  # bound, but not to a node
+            "MATCH (c:Person {name: 'carol'}) WITH c.name AS c",  # rebound by WITH
+            "MATCH (c:Person {name: 'carol'}) DETACH DELETE c WITH c",  # deleted node
+        ],
+    )
+    def test_only_variables_certain_to_hold_a_node_anchor(self, prefix):
+        # Starting at a non-node or a deleted node would raise where matching
+        # from the written start filters it out, so these keep that start.
+        graph = build_graph()
+        query = f"{prefix} MATCH (p:Person)-[:KNOWS]->(c) RETURN p.name AS name"
+        plan = plan_query(parse_query(query), graph).pattern_plans()[-1]
+        assert plan.elements[0].variable == "p", plan.describe()
+        assert execute(graph, query).rows == []
+
+
 class TestPhysicalIndexInvalidation:
     """Ordered and relationship indexes must flow through ``index_epoch``/
     ``plan_token`` so the global plan cache never serves a plan against a

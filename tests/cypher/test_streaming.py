@@ -116,6 +116,81 @@ class TestStreamingPipeline:
         )
 
 
+class TestSingleNodeScan:
+    """A lone one-node MATCH filters its candidates in one loop; OPTIONAL
+    padding, error timing, virtual labels and ordered scans are unchanged."""
+
+    def test_optional_match_pads_rows_without_a_candidate(self, graph):
+        query = (
+            "UNWIND [1, 30] AS i OPTIONAL MATCH (p:Person) WHERE p.seq = i "
+            "RETURN i, p.seq AS seq"
+        )
+        rows = stream_rows(graph, query)
+        assert rows == [{"i": 1, "seq": 1}, {"i": 30, "seq": None}]
+        assert rows == stream_rows(graph, query, eager=True)
+
+    def test_where_raises_at_the_same_candidate_as_eager(self, graph, monkeypatch):
+        from repro.cypher.errors import CypherRuntimeError
+
+        checked: list[int] = []
+        original = QueryExecutor._node_satisfies
+
+        def counting(self, node_pattern, node, row):
+            checked.append(node.id)
+            return original(self, node_pattern, node, row)
+
+        monkeypatch.setattr(QueryExecutor, "_node_satisfies", counting)
+        query = "MATCH (p:Person) WHERE 10 / (p.seq - 5) > 0 RETURN p.seq AS seq"
+        seen = []
+        for options in ({}, {"eager": True}):
+            checked.clear()
+            with pytest.raises(CypherRuntimeError, match="division by zero"):
+                stream_rows(graph, query, **options)
+            seen.append(list(checked))
+        assert seen[0] == seen[1] and len(seen[0]) == 6  # seq 0..5
+
+    def test_virtual_label_scan_in_a_trigger_condition(self, monkeypatch):
+        from repro.triggers import GraphSession
+
+        joined: list[int] = []
+        original = QueryExecutor._iter_join_steps
+
+        def counting(self, *args):
+            joined.append(1)
+            return original(self, *args)
+
+        monkeypatch.setattr(QueryExecutor, "_iter_join_steps", counting)
+        session = GraphSession(batched_triggers=False)
+        session.create_trigger(
+            "CREATE TRIGGER Big AFTER CREATE ON 'Reading' FOR ALL NODES "
+            "WHEN MATCH (r:NEWNODES) WHERE r.value > 10 "
+            "BEGIN CREATE (:Alert) END"
+        )
+        session.run("UNWIND [1, 2, 3] AS v CREATE (:Reading {value: v})")
+        assert session.run("MATCH (a:Alert) RETURN count(a) AS n").single("n") == 0
+        session.run("UNWIND [5, 50] AS v CREATE (:Reading {value: v})")
+        assert session.run("MATCH (a:Alert) RETURN count(a) AS n").single("n") == 1
+        assert joined == []  # every MATCH here took the single-node scan
+
+    def test_ordered_scan_that_falls_back_still_sorts(self):
+        graph = PropertyGraph()
+        for index in range(12):
+            properties = {"kind": "real", "seq": index, "score": (index * 5) % 12}
+            graph.create_node(["Person"], properties)
+        graph.create_range_index("Person", "score")
+        query = "MATCH (p:Person {kind: 'real'}) RETURN p.seq AS seq ORDER BY p.score LIMIT 4"
+        executor = QueryExecutor(graph)
+        assert "OrderedIndexScan" in executor.plan_description(query)
+        expected = [{"seq": 0}, {"seq": 5}, {"seq": 10}, {"seq": 3}]
+        assert stream_rows(graph, query) == expected
+        # A string score spans a second type class: the ordered scan declines
+        # at run time and the label scan's rows must be sorted instead.
+        graph.create_node(["Person"], {"kind": "fake", "seq": 99, "score": "poison"})
+        assert "OrderedIndexScan" in executor.plan_description(query)
+        assert stream_rows(graph, query) == expected
+        assert stream_rows(graph, query, eager=True) == expected
+
+
 class TestResultAPI:
     def records(self):
         return [{"x": 1}, {"x": 2}, {"x": 3}]

@@ -14,6 +14,7 @@ from repro.database import GraphDatabase
 from repro.server import run_in_thread
 from repro.server.app import _MAX_HEADER_BYTES, _MAX_REQUEST_BYTES, DatabaseServer
 from repro.storage import MemoryIO
+from repro.tx.errors import TransactionError
 
 
 class Client:
@@ -185,6 +186,28 @@ class TestEndpoints:
                 status, body = read_response(sock, buffer)
                 assert (status, list(body)) == (400, ["error"]), declared[:10]
                 assert read_response(sock, buffer) is None  # and the server hung up
+
+    @pytest.mark.parametrize(
+        "error, status",
+        [
+            (RecursionError("maximum recursion depth exceeded"), 500),
+            (RuntimeError("write lock on 'g' is not held by this thread"), 500),
+            (TransactionError("transaction already closed"), 409),
+        ],
+    )
+    def test_internal_faults_are_500_and_conflicts_409(
+        self, client, server, monkeypatch, error, status
+    ):
+        # A 409 tells the client to retry; an internal fault must not.
+        session = server.database.graph("faulty")
+
+        def run(query, parameters=None):
+            raise error
+
+        monkeypatch.setattr(session, "run", run)
+        got, body = client.post("/run", {"graph": "faulty", "query": "RETURN 1 AS x"})
+        assert got == status
+        assert body["error"].startswith(type(error).__name__)
 
     def test_malformed_json_body(self, server):
         conn = http.client.HTTPConnection(server.host, server.port, timeout=10)

@@ -200,6 +200,74 @@ class TestJoinOrderingDifferential:
 
 
 # ---------------------------------------------------------------------------
+# patterns whose end variable an earlier clause already bound
+# ---------------------------------------------------------------------------
+
+#: Earlier clauses binding the *end* variable of some pool patterns (``b``,
+#: ``c``, ``x``), so the planner may start those patterns from their bound
+#: end — or, for a name not certain to hold a node, must not.
+BOUND_PREFIX_POOL = [
+    "MATCH (b:B) ",
+    "MATCH (c:C) WITH c ",
+    "MATCH (x) WHERE x.v < 2 ",
+    "OPTIONAL MATCH (c:C {v: 3}) ",
+    "MATCH (b:B)-[:S]->(c:C) WITH b, c ",
+    "UNWIND [1, 2] AS x ",
+]
+
+#: Connected patterns ending at a variable a prefix can bind.
+END_BOUND_POOL = [
+    ("(a:A)-[:R]->(b:B)", ("a", "b")),
+    ("(b:B)-[:S]->(c:C)", ("b", "c")),
+    ("(a:A)-[:R]->(x)", ("a", "x")),
+    ("(y)-[:S]->(c:C)", ("y", "c")),
+    ("(a:A)-[:R]->(m)-[:S]->(c:C)", ("a", "m", "c")),
+]
+
+end_bound_choices = st.lists(
+    st.integers(min_value=0, max_value=len(END_BOUND_POOL) - 1),
+    min_size=1,
+    max_size=2,
+    unique=True,
+)
+
+
+def unanchored_outcome(graph, prefix: str, match: str):
+    """The prefix's rows fed to ``match`` as initial bindings, which the
+    planner cannot see: the reference run without bound-end starts."""
+    try:
+        rows = QueryExecutor(graph).execute(prefix + "RETURN *").rows
+        _, records = QueryExecutor(graph).stream_batch(match, rows)
+        return sorted(
+            (tuple(sorted((k, canonical(v)) for k, v in row.items())) for row in records),
+            key=repr,
+        )
+    except CypherError as exc:
+        return ("error", type(exc).__name__)
+
+
+class TestBoundEndDifferential:
+    @given(nodes=node_specs, rels=rel_specs, prefix=st.sampled_from(BOUND_PREFIX_POOL),
+           choices=end_bound_choices, indexed=index_flags)
+    @settings(max_examples=120, deadline=None)
+    def test_bound_end_start_agrees_with_clause_order_and_unanchored_run(
+        self, nodes, rels, prefix, choices, indexed
+    ):
+        graph = build_graph(nodes, rels, indexed)
+        patterns = [END_BOUND_POOL[i] for i in choices]
+        names = sorted({name for _, variables in patterns for name in variables})
+        match = (
+            "MATCH "
+            + ", ".join(text for text, _ in patterns)
+            + " RETURN "
+            + ", ".join(f"{name} AS {name}" for name in names)
+        )
+        ordered = outcome(QueryExecutor(graph), prefix + match)
+        naive = outcome(QueryExecutor(graph, join_ordering=False), prefix + match)
+        assert ordered == naive == unanchored_outcome(graph, prefix, match)
+
+
+# ---------------------------------------------------------------------------
 # randomized ORDER BY / SKIP / LIMIT / range-predicate queries
 # ---------------------------------------------------------------------------
 
