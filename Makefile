@@ -31,12 +31,14 @@ test-paths:
 test-optimizer:
 	$(PYTHON) -m pytest tests/cypher/test_optimizer_v2.py tests/graph/test_histogram_properties.py tests/cypher/test_planner.py tests/test_join_ordering_properties.py -q
 
-## The trigger suite alone: engine/registry/session units, the batched
-## two-way differential and the incremental three-way differential
-## (sequential == batched == incremental, incl. mid-stream DDL and
-## trigger install/drop, with Hypothesis randomized streams).
+## The trigger suite alone: engine/registry/session units, the footprint
+## soundness properties and termination analysis, the batched two-way
+## differential and the incremental three-way differential (sequential ==
+## batched == incremental, incl. mid-stream DDL and trigger install/drop,
+## with Hypothesis randomized streams), plus the paper's Section 6
+## termination verdicts.
 test-triggers:
-	$(PYTHON) -m pytest tests/triggers -q
+	$(PYTHON) -m pytest tests/triggers tests/integration/test_paper_section6.py -q
 
 ## The Cypher suite alone: lexer/parser, expression, planner and executor
 ## units (streaming, physical operators, paths, plan cache) plus the

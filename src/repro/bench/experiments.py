@@ -485,11 +485,11 @@ def perf_cascading(depths=(1, 2, 4, 8, 12)) -> ExperimentResult:
         started = time.perf_counter()
         session.run("CREATE (:Level0 {step: 0})")
         elapsed = time.perf_counter() - started
-        fired = sum(1 for f in session.engine.firings if f.executed)
+        summary = session.engine.firing_summary().values()
         result.add_row(
             chain_length=depth,
-            triggers_fired=fired,
-            max_depth_reached=max((f.depth for f in session.engine.firings), default=0),
+            triggers_fired=sum(entry["executed"] for entry in summary),
+            max_depth_reached=max((entry["max_depth"] for entry in summary), default=0),
             seconds=elapsed,
             termination_guaranteed=report.guaranteed_termination,
         )

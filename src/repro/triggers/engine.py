@@ -41,39 +41,32 @@ The batch is advisory in the same sense as the query planner's access
 paths: verdicts taken from it are only trusted while they provably match
 what sequential evaluation would have seen.  Until the first activation
 fires, the graph is unchanged, so every verdict is exact; after a firing,
-verdicts are re-verified per activation unless a static independence
-check proved the trigger's action (CREATE-only, disjoint from every
-condition pattern) cannot change its own condition's rows.  Results can
-therefore never change — only speed.
+verdicts are re-verified per activation unless the trigger's footprint
+(:mod:`repro.triggers.footprint`) proves its action cannot change its own
+condition's rows: nothing it may create matches a live condition pattern,
+no key or label it writes is read (reads through frozen transition
+snapshots do not count), and it deletes nothing.  Results can therefore
+never change — only speed.
+
+The audit log :attr:`TriggerEngine.firings` keeps the last
+:data:`FIRING_LOG_LIMIT` firings; :meth:`TriggerEngine.firing_summary`
+stays exact.
 """
 
 from __future__ import annotations
 
 import datetime as _dt
-from itertools import chain as _chain
-from typing import Any, Callable, Iterator, Mapping, NamedTuple, Optional, Union
+from collections import deque
+from typing import Any, Callable, Mapping, NamedTuple, Optional
 
 from ..cypher.ast import (
-    CreateClause,
     ExistsPattern,
     Expression,
-    FunctionCall,
-    LabelPredicate,
     MatchClause,
-    NodePattern,
-    PathPattern,
-    PropertyAccess,
     Query,
-    RemoveClause,
-    RemovePropertyItem,
     ReturnClause,
-    SetClause,
-    SetLabelsItem,
-    SetPropertyItem,
     UnwindClause,
-    Variable,
     WithClause,
-    walk_expression,
 )
 from ..cypher.errors import CypherError
 from ..cypher.executor import QueryExecutor, contains_aggregate
@@ -96,6 +89,7 @@ from .context import (
 )
 from .errors import TriggerExecutionError, TriggerRecursionError
 from .events import Activation, compute_activations
+from .footprint import may_change, read_footprint, write_footprint
 from .incremental import IncrementalTriggerViews
 from .registry import TriggerRegistry
 
@@ -103,6 +97,10 @@ from .registry import TriggerRegistry
 DEFAULT_MAX_CASCADE_DEPTH = 16
 #: Maximum nesting of autonomous (DETACHED) transactions.
 DEFAULT_MAX_DETACHED_DEPTH = 4
+#: Records kept in the audit log of firings (:attr:`TriggerEngine.firings`);
+#: older records are dropped, while :meth:`TriggerEngine.firing_summary`
+#: stays exact.
+FIRING_LOG_LIMIT = 10_000
 
 
 def _abort_procedure(args, invocation):
@@ -164,8 +162,11 @@ class TriggerEngine:
         #: why demotions happened (see :meth:`evaluation_report`).
         self.tier_trace: dict[str, dict[str, dict[str, int]]] = {}
         self._batch_profiles: dict[tuple, tuple[bool, bool]] = {}
-        #: Audit log of trigger firings (cleared with :meth:`clear_firings`).
-        self.firings: list[TriggerFiring] = []
+        #: Audit log of the most recent trigger firings (cleared with
+        #: :meth:`clear_firings`), bounded by :data:`FIRING_LOG_LIMIT`.
+        self.firings: deque[TriggerFiring] = deque(maxlen=FIRING_LOG_LIMIT)
+        #: Exact per-trigger totals behind :meth:`firing_summary`.
+        self._firing_totals: dict[str, dict[str, int]] = {}
         # Condition and statement texts are compiled through the global
         # parse+plan cache (repro.cypher.planner.PLAN_CACHE), shared with
         # the executor and the compatibility emulators.
@@ -222,8 +223,9 @@ class TriggerEngine:
             self._detached_depth -= 1
 
     def clear_firings(self) -> None:
-        """Reset the audit log of trigger firings."""
+        """Reset the audit log of trigger firings and its summary."""
         self.firings.clear()
+        self._firing_totals.clear()
 
     # ------------------------------------------------------------------
     # core processing loop
@@ -245,6 +247,9 @@ class TriggerEngine:
             raise TriggerRecursionError(self.max_cascade_depth, chain)
 
         produced_total = GraphDelta()
+        # The frame of a trigger that wrote this round's delta parents the
+        # next round, so a runaway cascade's error names the triggers.
+        producer = parent
         # Activations depend only on the trigger's event selector, not on
         # its condition or action — triggers sharing a selector (every
         # ``AFTER CREATE ON 'X' FOR EACH NODE`` gate in a firehose suite,
@@ -253,16 +258,14 @@ class TriggerEngine:
         # earlier triggers' writes.
         activation_memo: dict[tuple, list] = {}
         for installed in self.registry.ordered(times, enabled_only=True):
-            produced = self._run_trigger(installed, tx, delta, depth, parent, activation_memo)
-            if not produced.is_empty():
-                produced_total = produced_total.merge(produced)
+            run = self._run_trigger(installed, tx, delta, depth, parent, activation_memo)
+            if run is not None and not run.produced.is_empty():
+                produced_total = produced_total.merge(run.produced)
+                producer = run.context
 
         if not produced_total.is_empty():
             cascade_times = self._cascade_times(times)
-            nested = self._process(
-                tx, produced_total, cascade_times, depth + 1,
-                parent or ExecutionContext("(statement)", depth, 0, Granularity.ALL),
-            )
+            nested = self._process(tx, produced_total, cascade_times, depth + 1, producer)
             produced_total = produced_total.merge(nested)
         return produced_total
 
@@ -287,7 +290,8 @@ class TriggerEngine:
         depth: int,
         parent: Optional[ExecutionContext],
         activation_memo: dict[tuple, list],
-    ) -> GraphDelta:
+    ) -> Optional["_TriggerRun"]:
+        """Fire ``installed`` over its activations in ``delta`` (None: it has none)."""
         trigger = installed.definition
         selector = (trigger.item, trigger.event, trigger.label, trigger.property)
         activations = activation_memo.get(selector)
@@ -295,9 +299,18 @@ class TriggerEngine:
             activations = compute_activations(trigger, delta)
             activation_memo[selector] = activations
         if not activations:
-            return GraphDelta()
+            return None
         activations = [self._refresh_new_side(a) for a in activations]
         run = _TriggerRun(self, installed, tx, depth, parent, len(activations))
+        try:
+            self._evaluate(run, activations)
+        finally:
+            run.tally()
+        return run
+
+    def _evaluate(self, run: "_TriggerRun", activations: list[Activation]) -> None:
+        """Decide each activation's condition on the highest eligible tier and fire."""
+        installed, trigger, tx = run.installed, run.trigger, run.tx
 
         # Fast suppress path: a FOR EACH trigger whose WHEN body is a plain
         # predicate (no condition query, no EXISTS, no REFERENCING aliases)
@@ -326,7 +339,7 @@ class TriggerEngine:
                     else:
                         run.fire(None, _NO_ROWS)
                 self._note_tier(trigger.name, "predicate")
-                return run.produced
+                return
 
         # Incremental path (top of the demotion ladder): evaluate each
         # activation against the trigger's delta-maintained condition view.
@@ -345,7 +358,8 @@ class TriggerEngine:
                 view = self.views.view_for(installed, compiled.parsed)
                 if view is not None:
                     self._note_tier(trigger.name, "incremental")
-                    return self._run_incremental(run, view, trigger, activations)
+                    self._run_incremental(run, view, trigger, activations)
+                    return
                 reason = self.views.rejection_reason(trigger.name)
                 self._note_demotion(trigger.name, reason or "ineligible")
 
@@ -400,12 +414,11 @@ class TriggerEngine:
                             fired = True
                         run.fire(binding, rows)
                     self._note_tier(trigger.name, "batched")
-                    return run.produced
+                    return
 
         self._note_tier(trigger.name, "sequential")
         for binding in bindings_for(trigger, activations):
             run.fire(binding, self._condition_rows(trigger, binding, tx))
-        return run.produced
 
     def _run_incremental(
         self,
@@ -413,7 +426,7 @@ class TriggerEngine:
         view,
         trigger: TriggerDefinition,
         activations: list[Activation],
-    ) -> GraphDelta:
+    ) -> None:
         """Replay activations against the trigger's live condition view.
 
         Each activation is evaluated lazily, *after* every earlier
@@ -455,7 +468,6 @@ class TriggerEngine:
                 check_view = True
             else:
                 fire(None, _NO_ROWS)
-        return run.produced
 
     def _refresh_new_side(self, activation):
         """Re-read the NEW side from the store so earlier triggers' writes are visible.
@@ -542,12 +554,13 @@ class TriggerEngine:
         *eligible* — the condition (query or EXISTS predicate) can run as
         one multi-row pass without changing any activation's rows;
         *independent* — additionally, the trigger's own action can never
-        change what the condition sees, so batch verdicts stay valid even
-        after earlier activations fire; *prefix*/*suffix* — for query
-        conditions, the streamable stage shared by all activations and
-        the per-activation replay stage (aggregating WITH pipelines and
-        non-streamable RETURNs go in the suffix; ``suffix is None`` means
-        the whole condition streams).  The prefix/suffix query objects
+        change what the condition sees (:func:`may_change` over the
+        action's write footprint and the condition's read footprint), so
+        batch verdicts stay valid even after earlier activations fire;
+        *prefix*/*suffix* — for query conditions, the streamable stage
+        shared by all activations and the per-activation replay stage
+        (aggregating WITH pipelines and non-streamable RETURNs go in the
+        suffix; ``suffix is None`` means the whole condition streams).  The prefix/suffix query objects
         are built once and pinned here so the parsed-plan cache (keyed on
         object identity) keeps working.
         """
@@ -555,14 +568,12 @@ class TriggerEngine:
         cached = self._batch_profiles.get(key)
         if cached is not None:
             return cached
-        transition_names = _transition_names(trigger)
         condition = compiled.parsed
+        read = read_footprint(condition, transition_names(trigger))
         prefix: Optional[Query] = None
         suffix: Optional[Query] = None
         if compiled.is_query:
-            split = None
-            if _patterns_transition_free(_condition_patterns(condition), transition_names):
-                split = _condition_split(condition)
+            split = None if read.uses_transition_labels else _condition_split(condition)
             eligible = split is not None
             if eligible:
                 if split >= len(condition.clauses):
@@ -574,17 +585,8 @@ class TriggerEngine:
                     )
                     suffix = Query(clauses=condition.clauses[split:])
         else:
-            eligible = _patterns_transition_free(
-                _exists_patterns(condition), transition_names
-            ) and not contains_aggregate(condition)
-        independent = False
-        if eligible:
-            try:
-                statement = PLAN_CACHE.parse(trigger.statement)
-            except CypherError:
-                statement = None
-            if statement is not None:
-                independent = _action_independent(statement, condition, transition_names)
+            eligible = not read.uses_transition_labels and not contains_aggregate(condition)
+        independent = eligible and not may_change(write_footprint(trigger.statement), read)
         profile = _BatchProfile(eligible, independent, prefix, suffix)
         self._batch_profiles[key] = profile
         return profile
@@ -649,7 +651,7 @@ class TriggerEngine:
             clock=self.clock,
             procedures=self.procedures,
             memoize_match=True,
-            memoize_skip_variables=_transition_names(trigger) | {_BATCH_TAG},
+            memoize_skip_variables=transition_names(trigger) | {_BATCH_TAG},
         )
         try:
             if not compiled.is_query:
@@ -807,18 +809,12 @@ class TriggerEngine:
         return {t.name: t.executions for t in self.registry.ordered()}
 
     def firing_summary(self) -> dict[str, dict[str, int]]:
-        """Per-trigger summary of the audit log."""
-        summary: dict[str, dict[str, int]] = {}
-        for firing in self.firings:
-            entry = summary.setdefault(
-                firing.trigger_name, {"executed": 0, "suppressed": 0, "max_depth": 0}
-            )
-            if firing.executed:
-                entry["executed"] += 1
-            else:
-                entry["suppressed"] += 1
-            entry["max_depth"] = max(entry["max_depth"], firing.depth)
-        return summary
+        """Per-trigger executed/suppressed counts and deepest cascade level.
+
+        Exact since the last :meth:`clear_firings`, even after the bounded
+        audit log has dropped old records.
+        """
+        return {name: dict(entry) for name, entry in self._firing_totals.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -840,7 +836,8 @@ class _TriggerRun:
 
     __slots__ = (
         "engine", "installed", "trigger", "tx", "depth", "parent",
-        "activation_count", "context", "produced", "_action_time",
+        "activation_count", "context", "produced", "executed", "suppressed",
+        "_action_time",
     )
 
     def __init__(
@@ -863,6 +860,8 @@ class _TriggerRun:
         # most firings on the hot path are suppressed, so build it lazily.
         self.context: Optional[ExecutionContext] = None
         self.produced = GraphDelta()
+        self.executed = 0
+        self.suppressed = 0
         # Hoisted out of fire(): the enum attribute access is measurable
         # at firehose activation counts.
         self._action_time = installed.definition.time.value
@@ -890,8 +889,10 @@ class _TriggerRun:
                 )
             self.produced = self.produced.merge(self.tx.end_statement())
             self.installed.executions += 1
+            self.executed += 1
         else:
             self.installed.suppressed += 1
+            self.suppressed += 1
         self.engine.firings.append(
             TriggerFiring(
                 trigger_name=self.trigger.name,
@@ -903,6 +904,19 @@ class _TriggerRun:
             )
         )
 
+    def tally(self) -> None:
+        """Add this run's firings to the engine's per-trigger totals."""
+        if not (self.executed or self.suppressed):
+            return
+        totals = self.engine._firing_totals.get(self.trigger.name)
+        if totals is None:
+            totals = self.engine._firing_totals[self.trigger.name] = {
+                "executed": 0, "suppressed": 0, "max_depth": 0,
+            }
+        totals["executed"] += self.executed
+        totals["suppressed"] += self.suppressed
+        totals["max_depth"] = max(totals["max_depth"], self.depth)
+
 
 # ---------------------------------------------------------------------------
 # batched-evaluation static analysis
@@ -911,10 +925,6 @@ class _TriggerRun:
 #: Correlation key carried through a batched condition pass; popped from
 #: every surviving row before it reaches the action statement.
 _BATCH_TAG = "__batch_activation__"
-
-
-# Shared with the incremental view compiler (repro.triggers.context).
-_transition_names = transition_names
 
 
 class _BatchProfile(NamedTuple):
@@ -967,235 +977,3 @@ def _suffix_supported(clauses) -> bool:
         isinstance(clause, (MatchClause, UnwindClause, WithClause, ReturnClause))
         for clause in clauses
     )
-
-
-def _patterns_transition_free(patterns, transition_names: set[str]) -> bool:
-    """No pattern uses a transition name as a label or relationship type.
-
-    Those resolve through per-activation virtual-label sets, which a
-    shared pass cannot model (using them as pre-bound pattern
-    *variables* is fine).
-    """
-    for pattern in patterns:
-        for element in pattern.elements:
-            if isinstance(element, NodePattern):
-                if set(element.labels) & transition_names:
-                    return False
-            elif set(element.types) & transition_names:
-                return False
-    return True
-
-
-def _action_independent(
-    statement: Query, condition: Union[Query, Expression], transition_names: set[str]
-) -> bool:
-    """True when the action can never change its own condition's rows.
-
-    Conservative static check built from two footprints.  The statement's
-    *write footprint*: the label sets / relationship types it can CREATE,
-    the property keys it SETs or REMOVEs, and the labels it SETs or
-    REMOVEs.  The condition's *read footprint*: the labels/types its
-    patterns require, the property keys its patterns test inline, and
-    the property keys / labels its expressions read on anything other
-    than a transition variable — transition snapshots are frozen at
-    activation time, so action writes can never reach them (pattern
-    elements that *re-bind* a transition variable are the exception: the
-    matcher refreshes pre-bound variables from the live graph, so their
-    inline keys and labels count as reads).
-
-    The action stays independent iff nothing it creates can match a
-    condition pattern element, no key it writes is read, and no label it
-    writes is read.  MATCH/UNWIND/WITH/RETURN in the statement are pure
-    reads; DELETE/MERGE/CALL/FOREACH and map-style SET (`n = {…}` /
-    `n += {…}`) stay unanalysable and fail the check, sending the engine
-    back to sequential re-verification after the first firing.
-    """
-    created_label_sets: list[frozenset] = []
-    created_types: set[str] = set()
-    creates_node = False
-    creates_rel = False
-    written_keys: set[str] = set()
-    written_labels: set[str] = set()
-    for clause in statement.clauses:
-        if isinstance(clause, (MatchClause, UnwindClause, WithClause, ReturnClause)):
-            continue
-        if isinstance(clause, CreateClause):
-            for pattern in clause.patterns:
-                for element in pattern.elements:
-                    if isinstance(element, NodePattern):
-                        # A bound variable re-uses an existing node;
-                        # boundness is not tracked here, so treating every
-                        # node element as a potential creation is the
-                        # conservative choice.
-                        creates_node = True
-                        created_label_sets.append(frozenset(element.labels))
-                    else:
-                        creates_rel = True
-                        created_types.update(element.types)
-        elif isinstance(clause, SetClause):
-            for item in clause.items:
-                if isinstance(item, SetPropertyItem):
-                    written_keys.add(item.key)
-                elif isinstance(item, SetLabelsItem):
-                    written_labels.update(item.labels)
-                else:  # SetFromMapItem: the written key set is dynamic
-                    return False
-        elif isinstance(clause, RemoveClause):
-            for item in clause.items:
-                if isinstance(item, RemovePropertyItem):
-                    written_keys.add(item.key)
-                else:
-                    written_labels.update(item.labels)
-        else:
-            return False
-
-    # UNWIND (or a WITH alias) in a query condition may shadow a
-    # transition name; a shadowed variable is an ordinary row value, so
-    # its reads are live again.  Expression conditions (EXISTS
-    # predicates) bind nothing, so every transition stays frozen.
-    shadowed: set[str] = set()
-    if isinstance(condition, Query):
-        for clause in condition.clauses:
-            if isinstance(clause, UnwindClause):
-                shadowed.add(clause.variable)
-            elif isinstance(clause, WithClause):
-                shadowed.update(item.alias for item in clause.items if item.alias)
-        patterns = _condition_patterns(condition)
-        expressions = _condition_expressions(condition)
-    else:
-        patterns = _exists_patterns(condition)
-        expressions = iter((condition,))
-    frozen = transition_names - shadowed
-
-    read_keys: set[str] = set()
-    read_labels: set[str] = set()
-    reads_all_keys = False
-    reads_all_labels = False
-    inline_values: list[Expression] = []
-    for pattern in patterns:
-        for element in pattern.elements:
-            # Inline property tests read the *live* graph even on
-            # pre-bound transition variables (the matcher refreshes
-            # candidates), so their keys always join the read footprint;
-            # their value expressions are walked with the rest below.
-            read_keys.update(key for key, _ in element.properties)
-            inline_values.extend(expr for _, expr in element.properties)
-            if isinstance(element, NodePattern):
-                read_labels.update(element.labels)
-            if element.variable is not None and element.variable in frozen:
-                continue  # pre-bound: can never rebind to a created item
-            if isinstance(element, NodePattern):
-                if not element.labels:
-                    if creates_node:
-                        return False
-                else:
-                    required = set(element.labels)
-                    if any(required.issubset(labels) for labels in created_label_sets):
-                        return False
-            else:
-                read_labels.update(element.types)
-                if not element.types:
-                    if creates_rel:
-                        return False
-                elif set(element.types) & created_types:
-                    return False
-    for expression in _chain(inline_values, expressions):
-        for sub in walk_expression(expression):
-            if isinstance(sub, PropertyAccess):
-                if isinstance(sub.subject, Variable) and sub.subject.name in frozen:
-                    continue  # snapshot read: frozen at activation time
-                read_keys.add(sub.key)
-            elif isinstance(sub, LabelPredicate):
-                if isinstance(sub.subject, Variable) and sub.subject.name in frozen:
-                    continue
-                read_labels.update(sub.labels)
-            elif isinstance(sub, FunctionCall):
-                # keys()/properties() and labels()/type() read an entity's
-                # whole key set / label set dynamically — no static key to
-                # intersect, so they widen the footprint to "everything"
-                # unless they read a frozen transition snapshot.
-                name = sub.name.lower()
-                if name in ("keys", "properties", "labels", "type"):
-                    args = sub.args
-                    if (
-                        len(args) == 1
-                        and isinstance(args[0], Variable)
-                        and args[0].name in frozen
-                    ):
-                        continue
-                    if name in ("keys", "properties"):
-                        reads_all_keys = True
-                    else:
-                        reads_all_labels = True
-
-    if written_keys & read_keys:
-        return False
-    if written_labels & read_labels:
-        return False
-    if reads_all_keys and written_keys:
-        return False
-    if reads_all_labels and written_labels:
-        return False
-    return True
-
-
-def _condition_expressions(query: Query) -> Iterator[Expression]:
-    """Every clause-level expression tree a condition query evaluates.
-
-    Covers clause WHEREs, UNWIND sources and projection items;
-    ``walk_expression`` then descends into EXISTS sub-WHEREs.  Inline
-    property-map values are *not* yielded here — the read-footprint
-    analysis walks them off the pattern elements directly (via
-    ``_condition_patterns``, which also surfaces EXISTS sub-patterns).
-    """
-    for clause in query.clauses:
-        if isinstance(clause, MatchClause):
-            if clause.where is not None:
-                yield clause.where
-        elif isinstance(clause, UnwindClause):
-            yield clause.expression
-        elif isinstance(clause, (WithClause, ReturnClause)):
-            for item in clause.items:
-                yield item.expression
-            if isinstance(clause, WithClause) and clause.where is not None:
-                yield clause.where
-
-
-def _condition_patterns(query: Query) -> Iterator[PathPattern]:
-    """Every path pattern a condition query can match (incl. EXISTS).
-
-    EXISTS sub-patterns are reachable from three places: the WHERE tree,
-    projection expressions, and — easy to miss — the inline property
-    maps of pattern elements (``(c:Config {flag: EXISTS {(s:Spike)}})``).
-    All three feed the batched-evaluation safety checks, so missing one
-    would let a condition through that the batch pass evaluates
-    differently.
-    """
-    for clause in query.clauses:
-        if isinstance(clause, MatchClause):
-            for pattern in clause.patterns:
-                yield pattern
-                for element in pattern.elements:
-                    for _, expr in element.properties:
-                        yield from _exists_patterns(expr)
-            if clause.where is not None:
-                yield from _exists_patterns(clause.where)
-        elif isinstance(clause, UnwindClause):
-            yield from _exists_patterns(clause.expression)
-        elif isinstance(clause, ReturnClause):
-            for item in clause.items:
-                yield from _exists_patterns(item.expression)
-
-
-def _exists_patterns(expression: Expression) -> Iterator[PathPattern]:
-    # walk_expression descends into ExistsPattern.where, so nested EXISTS
-    # sub-patterns there are reached through their own ExistsPattern node;
-    # the explicit recursion covers EXISTS hiding inside an inline
-    # property map of another EXISTS's pattern elements.
-    for sub in walk_expression(expression):
-        if isinstance(sub, ExistsPattern):
-            for pattern in sub.patterns:
-                yield pattern
-                for element in pattern.elements:
-                    for _, expr in element.properties:
-                        yield from _exists_patterns(expr)

@@ -12,14 +12,7 @@ import itertools
 import threading
 from typing import Iterable
 
-from ..cypher.ast import (
-    ForeachClause,
-    Query,
-    RemoveClause,
-    RemoveLabelsItem,
-    SetClause,
-    SetLabelsItem,
-)
+from ..cypher.ast import MatchClause, RemoveClause, SetClause, UnwindClause, WithClause
 from ..cypher.errors import CypherError
 from ..cypher.planner import PLAN_CACHE
 from .ast import (
@@ -30,6 +23,7 @@ from .ast import (
     TriggerDefinition,
 )
 from .errors import TriggerDefinitionError, TriggerRegistrationError
+from .footprint import write_footprint
 from .parser import parse_trigger
 
 
@@ -219,41 +213,18 @@ def _check_statement(definition: TriggerDefinition) -> None:
         raise TriggerDefinitionError(
             f"trigger {definition.name!r}: cannot parse action statement: {exc}"
         ) from exc
-    touched = _labels_written(parsed)
-    if definition.label in touched:
+    if definition.label in write_footprint(parsed).written_labels:
         raise TriggerDefinitionError(
             f"trigger {definition.name!r}: the action statement sets or removes the trigger's "
             f"target label {definition.label!r}, which Section 4.2 disallows"
         )
     if definition.time == ActionTime.BEFORE and not parsed.is_read_only:
         for clause in parsed.clauses:
-            if not isinstance(clause, (SetClause, RemoveClause)):
-                from ..cypher.ast import MatchClause, UnwindClause, WithClause
-
-                if isinstance(clause, (MatchClause, UnwindClause, WithClause)):
-                    continue
+            if not isinstance(
+                clause, (SetClause, RemoveClause, MatchClause, UnwindClause, WithClause)
+            ):
                 raise TriggerDefinitionError(
                     f"trigger {definition.name!r}: BEFORE triggers may only condition NEW "
                     "states (SET/REMOVE); other updates require AFTER, ONCOMMIT or DETACHED"
                 )
 
-
-def _labels_written(parsed: Query) -> set[str]:
-    """Labels that a statement adds or removes via SET/REMOVE clauses."""
-    written: set[str] = set()
-
-    def visit(clauses) -> None:
-        for clause in clauses:
-            if isinstance(clause, SetClause):
-                for item in clause.items:
-                    if isinstance(item, SetLabelsItem):
-                        written.update(item.labels)
-            elif isinstance(clause, RemoveClause):
-                for item in clause.items:
-                    if isinstance(item, RemoveLabelsItem):
-                        written.update(item.labels)
-            elif isinstance(clause, ForeachClause):
-                visit(clause.body)
-
-    visit(parsed.clauses)
-    return written

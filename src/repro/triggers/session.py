@@ -545,7 +545,7 @@ class GraphSession:
             return [dict(node.properties) for node in self.graph.nodes_with_label("Alert")]
 
     def firing_log(self) -> list[str]:
-        """Human-readable audit log of trigger firings."""
+        """Human-readable audit log of the most recent trigger firings."""
         return [str(firing) for firing in self.engine.firings]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

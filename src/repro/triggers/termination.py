@@ -5,10 +5,13 @@ may not converge and points to the triggering-graph techniques of Baralis,
 Ceri and Widom (1994) for termination analysis.  This module implements the
 conservative version of that analysis:
 
-1. For every installed trigger, derive the set of *potential events* its
-   action statement can generate (which labels/types it creates, deletes,
-   sets or removes — conservatively, when a label cannot be determined
-   statically the event is treated as wildcard).
+1. For every installed trigger, map the *write footprint* of its action
+   (:mod:`repro.triggers.footprint`, shared with the batched tier and
+   the Section 4.2 check) to the *potential events* it can raise: CREATE
+   per created label and relationship type, DELETE of anything, SET or
+   REMOVE per added or removed label, and both SET *and* REMOVE per
+   written key (``SET x.k = null`` removes).  What cannot be determined
+   statically is a wildcard; an unknown footprint raises every event.
 2. Build the *triggering graph*: an edge ``T1 -> T2`` whenever an event
    that T1 can generate matches T2's monitored event.
 3. The trigger set is guaranteed to terminate if the triggering graph is
@@ -23,28 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from ..cypher.ast import (
-    Clause,
-    CreateClause,
-    DeleteClause,
-    ForeachClause,
-    MergeClause,
-    NodePattern,
-    RelationshipPattern,
-    RemoveClause,
-    RemoveLabelsItem,
-    RemovePropertyItem,
-    SetClause,
-    SetFromMapItem,
-    SetLabelsItem,
-    SetPropertyItem,
-)
-from ..cypher.errors import CypherError
-from ..cypher.parser import parse_query
 from .ast import EventType, ItemKind, TriggerDefinition
-
-#: Wildcard marker for labels/properties that cannot be determined statically.
-ANY = "*"
+from .footprint import ANY, write_footprint
 
 
 @dataclass(frozen=True)
@@ -130,18 +113,37 @@ class TerminationReport:
 
 
 def statement_events(definition: TriggerDefinition) -> list[PotentialEvent]:
-    """Potential events generated by a trigger's action statement."""
-    try:
-        parsed = parse_query(definition.statement)
-    except CypherError:
-        # Unparseable statements are treated maximally conservatively.
-        return [
-            PotentialEvent(event=event, item=item)
-            for event in EventType
-            for item in ItemKind
-        ]
-    events: list[PotentialEvent] = []
-    _collect_clause_events(parsed.clauses, events)
+    """Potential events generated by a trigger's action statement.
+
+    A mapping of the statement's write footprint (see
+    :mod:`repro.triggers.footprint` for the rules); an unknown footprint
+    can raise every event.
+    """
+    footprint = write_footprint(definition.statement)
+    if footprint.unknown:
+        return [PotentialEvent(event, item) for event in EventType for item in ItemKind]
+    node, rel = ItemKind.NODE, ItemKind.RELATIONSHIP
+    events = [
+        PotentialEvent(EventType.CREATE, node, label)
+        for labels in footprint.created_label_sets
+        for label in sorted(labels)
+    ]
+    events += [PotentialEvent(EventType.CREATE, rel, t) for t in sorted(footprint.created_types)]
+    if footprint.deletes:
+        events += [PotentialEvent(EventType.DELETE, node), PotentialEvent(EventType.DELETE, rel)]
+    for event, labels in (
+        (EventType.SET, footprint.added_labels),
+        (EventType.REMOVE, footprint.removed_labels),
+    ):
+        for label in sorted(labels):
+            events += [PotentialEvent(event, node, label), PotentialEvent(event, node)]
+    keys = sorted(footprint.written_keys) + ([ANY] if footprint.writes_unknown_keys else [])
+    events += [
+        PotentialEvent(event, item, ANY, key)
+        for key in keys
+        for event in (EventType.SET, EventType.REMOVE)
+        for item in (node, rel)
+    ]
     return events
 
 
@@ -171,71 +173,3 @@ def analyse_termination(definitions: Iterable[TriggerDefinition]) -> Termination
             name: tuple(events) for name, events in graph.potential_events.items()
         },
     )
-
-
-# ---------------------------------------------------------------------------
-# statement analysis
-# ---------------------------------------------------------------------------
-
-
-def _collect_clause_events(clauses: Iterable[Clause], events: list[PotentialEvent]) -> None:
-    for clause in clauses:
-        if isinstance(clause, (CreateClause, MergeClause)):
-            patterns = clause.patterns if isinstance(clause, CreateClause) else (clause.pattern,)
-            for pattern in patterns:
-                for element in pattern.elements:
-                    if isinstance(element, NodePattern):
-                        labels = element.labels or (ANY,)
-                        # Reusing a bound variable does not create a node, but
-                        # statically we cannot always tell; only patterns that
-                        # declare labels or are anonymous count as creations.
-                        if element.labels or element.variable is None:
-                            for label in labels:
-                                events.append(
-                                    PotentialEvent(EventType.CREATE, ItemKind.NODE, label)
-                                )
-                    elif isinstance(element, RelationshipPattern):
-                        types = element.types or (ANY,)
-                        for rel_type in types:
-                            events.append(
-                                PotentialEvent(
-                                    EventType.CREATE, ItemKind.RELATIONSHIP, rel_type
-                                )
-                            )
-        elif isinstance(clause, DeleteClause):
-            # The labels of deleted items are unknown statically.
-            events.append(PotentialEvent(EventType.DELETE, ItemKind.NODE, ANY))
-            events.append(PotentialEvent(EventType.DELETE, ItemKind.RELATIONSHIP, ANY))
-        elif isinstance(clause, SetClause):
-            for item in clause.items:
-                if isinstance(item, SetLabelsItem):
-                    for label in item.labels:
-                        events.append(PotentialEvent(EventType.SET, ItemKind.NODE, label))
-                        events.append(PotentialEvent(EventType.SET, ItemKind.NODE, ANY))
-                elif isinstance(item, SetPropertyItem):
-                    events.append(
-                        PotentialEvent(EventType.SET, ItemKind.NODE, ANY, item.key)
-                    )
-                    events.append(
-                        PotentialEvent(EventType.SET, ItemKind.RELATIONSHIP, ANY, item.key)
-                    )
-                elif isinstance(item, SetFromMapItem):
-                    events.append(PotentialEvent(EventType.SET, ItemKind.NODE, ANY, ANY))
-                    events.append(
-                        PotentialEvent(EventType.SET, ItemKind.RELATIONSHIP, ANY, ANY)
-                    )
-        elif isinstance(clause, RemoveClause):
-            for item in clause.items:
-                if isinstance(item, RemoveLabelsItem):
-                    for label in item.labels:
-                        events.append(PotentialEvent(EventType.REMOVE, ItemKind.NODE, label))
-                        events.append(PotentialEvent(EventType.REMOVE, ItemKind.NODE, ANY))
-                elif isinstance(item, RemovePropertyItem):
-                    events.append(
-                        PotentialEvent(EventType.REMOVE, ItemKind.NODE, ANY, item.key)
-                    )
-                    events.append(
-                        PotentialEvent(EventType.REMOVE, ItemKind.RELATIONSHIP, ANY, item.key)
-                    )
-        elif isinstance(clause, ForeachClause):
-            _collect_clause_events(clause.body, events)

@@ -9,6 +9,7 @@ import datetime
 import pytest
 
 from repro.triggers import GraphSession, TriggerExecutionError, TriggerRecursionError
+from repro.triggers import engine as engine_module
 from repro.tx import TransactionAborted
 
 CLOCK = lambda: datetime.datetime(2021, 3, 14, 12, 0, 0)  # noqa: E731
@@ -309,6 +310,26 @@ class TestOrderingAndCascading:
         with pytest.raises(TriggerRecursionError):
             session.run("CREATE (:Alert {generation: 0})")
 
+    def test_recursion_error_names_the_cascading_triggers(self):
+        # Echo and Wipe feed each other through a removal (SET x.p = null);
+        # each round is parented by a trigger that wrote its delta.
+        session = GraphSession(clock=CLOCK, max_cascade_depth=6)
+        session.create_trigger(
+            "CREATE TRIGGER Echo AFTER REMOVE ON 'X'.'p' FOR EACH NODE "
+            "BEGIN CREATE (:Y) END"
+        )
+        session.create_trigger(
+            "CREATE TRIGGER Wipe AFTER CREATE ON 'Y' FOR EACH NODE "
+            "BEGIN CREATE (:X {p: 1}) WITH 1 AS one MATCH (x:X) SET x.p = null END"
+        )
+        with pytest.raises(TriggerRecursionError) as raised:
+            session.run("CREATE (:Y)")
+        chain = raised.value.chain
+        assert {"Echo", "Wipe"} <= set(chain)
+        assert "(statement)" not in chain
+        assert chain[0] == "Wipe"
+        assert "Echo -> Wipe" in str(raised.value)
+
     def test_bounded_cascade_terminates(self, session):
         # Relocation-style cascade that converges because the condition
         # eventually becomes false (bed availability check).
@@ -388,6 +409,30 @@ class TestOrderingAndCascading:
         summary = session.engine.firing_summary()["Counted"]
         assert summary == {"executed": 1, "suppressed": 1, "max_depth": 0}
 
+    def test_firing_log_is_bounded_and_summary_exact(self, monkeypatch):
+        monkeypatch.setattr(engine_module, "FIRING_LOG_LIMIT", 5)
+        session = GraphSession(clock=CLOCK)
+        session.create_trigger("""
+            CREATE TRIGGER Even AFTER CREATE ON 'Reading' FOR EACH NODE
+            WHEN NEW.value % 2 = 0
+            BEGIN CREATE (:Alert {value: NEW.value}) END
+        """)
+        session.create_trigger("""
+            CREATE TRIGGER OnAlert AFTER CREATE ON 'Alert' FOR EACH NODE
+            BEGIN CREATE (:Audit) END
+        """)
+        session.run("UNWIND range(1, 7) AS i CREATE (:Reading {value: i})")
+        session.run("UNWIND range(8, 10) AS i CREATE (:Reading {value: i})")
+        # 10 Even firings (5 executed) + 5 OnAlert firings, one cascade level
+        assert len(session.engine.firings) == 5
+        assert session.engine.firing_summary() == {
+            "Even": {"executed": 5, "suppressed": 5, "max_depth": 0},
+            "OnAlert": {"executed": 5, "suppressed": 0, "max_depth": 1},
+        }
+        session.engine.clear_firings()
+        assert session.engine.firing_summary() == {}
+        assert len(session.engine.firings) == 0
+
 
 class TestErrorsAndRollback:
     def test_statement_error_wrapped_and_rolled_back(self, session):
@@ -428,4 +473,4 @@ class TestErrorsAndRollback:
             BEGIN CREATE (:Alert {desc: 'x'}) END
         """)
         session.run("MATCH (n) RETURN count(n)")
-        assert session.engine.firings == []
+        assert list(session.engine.firings) == []

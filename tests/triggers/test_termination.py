@@ -1,10 +1,14 @@
 """Tests for the triggering-graph termination analysis."""
 
+import pytest
+
 from repro.triggers import (
     ActionTime,
     EventType,
+    GraphSession,
     ItemKind,
     TriggerDefinition,
+    TriggerRecursionError,
     analyse_termination,
     build_triggering_graph,
     statement_events,
@@ -150,3 +154,57 @@ class TestTriggeringGraph:
         )
         report = analyse_termination([broken])
         assert not report.guaranteed_termination
+
+
+class TestKeyWritesRaiseRemovals:
+    """A written key may raise REMOVE as well as SET: ``SET x.k = null``
+    removes ``k``, and map-style SET replaces the key set."""
+
+    ECHO = (
+        "CREATE TRIGGER Echo AFTER REMOVE ON 'X'.'p' FOR EACH NODE "
+        "BEGIN CREATE (:Y) END"
+    )
+
+    @staticmethod
+    def wipe(assignment):
+        return (
+            "CREATE TRIGGER Wipe AFTER CREATE ON 'Y' FOR EACH NODE "
+            "BEGIN CREATE (:X {p: 1}) WITH 1 AS one MATCH (x:X) "
+            f"SET {assignment} END"
+        )
+
+    def _assert_cycle_found_and_real(self, assignment):
+        session = GraphSession()
+        session.create_trigger(self.ECHO)
+        session.create_trigger(self.wipe(assignment))
+        report = session.analyse_termination()
+        assert not report.guaranteed_termination
+        assert report.cycles == (("Echo", "Wipe"),)
+        # the cycle is real: the engine cascades until its depth limit
+        with pytest.raises(TriggerRecursionError):
+            session.run("CREATE (:Y)")
+
+    def test_set_to_null_is_a_removal_edge(self):
+        self._assert_cycle_found_and_real("x.p = null")
+
+    def test_map_replace_is_a_removal_edge(self):
+        self._assert_cycle_found_and_real("x = {q: 1}")
+
+
+class TestCreationLabels:
+    def test_unlabelled_creations_raise_no_create_event(self):
+        # Activations read the labels a node was created with, so neither an
+        # anonymous nor a bound-then-labelled creation can fire ON 'X'.
+        for statement in ("CREATE ()", "CREATE (n) SET n:X"):
+            events = statement_events(trig("T", "Y", statement=statement))
+            assert not any(e.event == EventType.CREATE for e in events), statement
+        watcher = trig("Watcher", "X")
+        creator = trig("Creator", "Y", statement="CREATE (n) SET n:X")
+        assert build_triggering_graph([creator, watcher]).successors("Creator") == set()
+
+    def test_abort_writes_nothing_other_calls_are_unknown(self):
+        assert statement_events(trig("T", "X", statement="CALL db.abort('stop')")) == []
+        events = statement_events(trig("T", "X", statement="CALL apoc.create.node(['X'], {})"))
+        assert {(e.event, e.item) for e in events} == {
+            (event, item) for event in EventType for item in ItemKind
+        }
