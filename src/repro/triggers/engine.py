@@ -45,7 +45,8 @@ verdicts are re-verified per activation unless the trigger's footprint
 (:mod:`repro.triggers.footprint`) proves its action cannot change its own
 condition's rows: nothing it may create matches a live condition pattern,
 no key or label it writes is read (reads through frozen transition
-snapshots do not count), and it deletes nothing.  Results can therefore
+snapshots do not count; an action reading a variable its condition binds
+reads its own writes), and it deletes nothing.  Results can therefore
 never change — only speed.
 
 The audit log :attr:`TriggerEngine.firings` keeps the last

@@ -24,11 +24,14 @@ The rules are conservative for all three at once:
 * **Unknown.** ``CALL db.abort``/``abort`` write nothing; any other CALL,
   an unrecognised clause or an unparseable statement is unknown, which
   means every event and "may change anything".
+* **Row snapshots.** A query condition's rows reach the action holding
+  nodes as they were before any firing, so an action that reads a
+  variable its condition binds reads every key and label it writes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from typing import Union
 
 from ..cypher.ast import (
@@ -86,6 +89,8 @@ class Footprint:
     added_labels: frozenset[str] = _EMPTY
     removed_labels: frozenset[str] = _EMPTY
     deletes: bool = False
+    #: Every variable the statement's expressions read.
+    read_variables: frozenset[str] = _EMPTY
     # -- read side ----------------------------------------------------
     #: Required label set of each live node element of a read pattern.
     matched_label_sets: tuple[frozenset[str], ...] = ()
@@ -98,6 +103,8 @@ class Footprint:
     #: A pattern uses a transition name as a label or type, which only a
     #: per-activation virtual label can resolve.
     uses_transition_labels: bool = False
+    #: Pattern variables and aliases a query condition's rows may carry.
+    bound_variables: frozenset[str] = _EMPTY
     # -- both ---------------------------------------------------------
     unknown: bool = False
 
@@ -127,8 +134,8 @@ def write_footprint(statement: Union[str, Query]) -> Footprint:
             if isinstance(clause, (MatchClause, UnwindClause, WithClause, ReturnClause)):
                 continue
             if isinstance(clause, (CreateClause, MergeClause)):
-                patterns = clause.patterns if isinstance(clause, CreateClause) else (clause.pattern,)
-                for pattern in patterns:
+                create = isinstance(clause, CreateClause)
+                for pattern in clause.patterns if create else (clause.pattern,):
                     for element in pattern.elements:
                         if isinstance(element, NodePattern):
                             created.append(frozenset(element.labels))
@@ -164,8 +171,20 @@ def write_footprint(statement: Union[str, Query]) -> Footprint:
         added_labels=frozenset(added),
         removed_labels=frozenset(removed),
         deletes=deletes,
+        read_variables=frozenset(_variables(statement)),
         unknown=unknown,
     )
+
+
+def _variables(node) -> set[str]:
+    """The name of every :class:`Variable` anywhere under an AST node."""
+    if isinstance(node, Variable):
+        return {node.name}
+    if isinstance(node, tuple):
+        return set().union(*map(_variables, node))
+    if is_dataclass(node):
+        return _variables(tuple(getattr(node, field.name) for field in fields(node)))
+    return set()
 
 
 def read_footprint(condition: Union[Query, Expression], transition_names: set[str]) -> Footprint:
@@ -182,18 +201,23 @@ def read_footprint(condition: Union[Query, Expression], transition_names: set[st
     frozen = set(transition_names)
     patterns: list = []
     expressions: list = [] if isinstance(condition, Query) else [condition]
+    bound: set = set()
     unknown = False
     for clause in condition.clauses if isinstance(condition, Query) else ():
         if isinstance(clause, MatchClause):
             patterns.extend(clause.patterns)
             expressions.append(clause.where)
+            bound.update(p.variable for p in clause.patterns)
+            bound.update(e.variable for p in clause.patterns for e in p.elements)
         elif isinstance(clause, UnwindClause):
             frozen.discard(clause.variable)
+            bound.add(clause.variable)
             expressions.append(clause.expression)
         elif isinstance(clause, (WithClause, ReturnClause)):
             expressions.extend(item.expression for item in clause.items)
             expressions.extend(sort.expression for sort in clause.order_by)
             expressions += [clause.skip, clause.limit]
+            bound.update(item.alias for item in clause.items)
             if isinstance(clause, WithClause):
                 frozen.difference_update(item.alias for item in clause.items)
                 expressions.append(clause.where)
@@ -253,6 +277,7 @@ def read_footprint(condition: Union[Query, Expression], transition_names: set[st
         read_labels=frozenset(read_labels),
         reads_all_labels=reads_all_labels,
         uses_transition_labels=uses_transition_labels,
+        bound_variables=frozenset(bound - {None}),
         unknown=unknown,
     )
 
@@ -277,5 +302,7 @@ def may_change(write: Footprint, read: Footprint) -> bool:
     written_labels = write.written_labels
     if written_labels and (read.reads_all_labels or written_labels & read.read_labels):
         return True
-    return False
+    # An action reading its condition's row snapshots reads its own writes.
+    writes = write.written_keys or write.writes_unknown_keys or written_labels
+    return bool(writes and write.read_variables & read.bound_variables)
 

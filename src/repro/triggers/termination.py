@@ -11,7 +11,8 @@ conservative version of that analysis:
    per created label and relationship type, DELETE of anything, SET or
    REMOVE per added or removed label, and both SET *and* REMOVE per
    written key (``SET x.k = null`` removes).  What cannot be determined
-   statically is a wildcard; an unknown footprint raises every event.
+   statically is a wildcard; an unknown footprint raises every event on
+   any label and key.
 2. Build the *triggering graph*: an edge ``T1 -> T2`` whenever an event
    that T1 can generate matches T2's monitored event.
 3. The trigger set is guaranteed to terminate if the triggering graph is
@@ -121,7 +122,7 @@ def statement_events(definition: TriggerDefinition) -> list[PotentialEvent]:
     """
     footprint = write_footprint(definition.statement)
     if footprint.unknown:
-        return [PotentialEvent(event, item) for event in EventType for item in ItemKind]
+        return [PotentialEvent(event, item, ANY, ANY) for event in EventType for item in ItemKind]
     node, rel = ItemKind.NODE, ItemKind.RELATIONSHIP
     events = [
         PotentialEvent(EventType.CREATE, node, label)

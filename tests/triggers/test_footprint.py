@@ -136,7 +136,18 @@ CONDITIONS = [
     "MATCH (n:A) WITH n WHERE NOT EXISTS { (m:C) }",
 ]
 
-ACTIONS = [statement for statement in STATEMENTS if not statement.startswith("CALL")]
+#: Actions that read the condition's own ``n`` (a snapshot taken before any
+#: firing in the batched tier) and write what they read of it.
+ROW_ACTIONS = [
+    "SET n += {k: coalesce(n.k, 0) + 1}",
+    "SET n.k = coalesce(n.k, 0) + 1",
+    "FOREACH (i IN [1] | SET n.k = coalesce(n.k, 0) + 1)",
+    "WITH n WHERE NOT n:C SET n:C CREATE (:D)",
+]
+
+ACTIONS = [
+    statement for statement in STATEMENTS if not statement.startswith("CALL")
+] + ROW_ACTIONS
 
 
 def run_session(batched, condition, action):
@@ -164,6 +175,10 @@ class TestIndependenceMatchesSequential:
         condition="MATCH (n:A) WITH n WHERE NOT EXISTS { (m:C) }",
         action="MATCH (n:A) SET n:C",
     )
+    @example(condition="MATCH (n:A:B) WHERE true", action=ROW_ACTIONS[0])
+    @example(condition="MATCH (n:A:B) WHERE true", action=ROW_ACTIONS[2])
+    @example(condition="MATCH (n:A) WITH n AS x WHERE true", action="SET x.k = 1 + x.k")
+    @example(condition="MATCH (n:A:B) WHERE true", action=ROW_ACTIONS[3])
     def test_batched_equals_per_activation(self, condition, action):
         reference, reference_outcome = run_session(False, condition, action)
         batched, batched_outcome = run_session(True, condition, action)
@@ -190,6 +205,15 @@ class TestMayChange:
         write = write_footprint("MATCH (n:B) SET n += {z: 1}")
         assert may_change(write, self.condition("(n:A) WHERE n.k > 0"))
         assert not may_change(write, self.condition("(n:A)"))
+
+    def test_action_reading_a_condition_row_reads_its_own_writes(self):
+        read = self.condition("(n:A)")
+        assert may_change(write_footprint("SET n += {k: coalesce(n.k, 0) + 1}"), read)
+        assert may_change(write_footprint("SET n:C CREATE (:D {c: n:C})"), read)
+        # reading n without writing anything it could hold stays independent
+        assert not may_change(write_footprint("CREATE (:B {k: n.k})"), read)
+        # the condition binds no row variable named m
+        assert not may_change(write_footprint("SET m.k = m.k + 1"), read)
 
     def test_abort_is_inert_other_calls_are_unknown(self):
         read = self.condition("(n:A)")

@@ -208,3 +208,7 @@ class TestCreationLabels:
         assert {(e.event, e.item) for e in events} == {
             (event, item) for event in EventType for item in ItemKind
         }
+        # an unknown write may touch any key, so property targets match too
+        for event in (EventType.SET, EventType.REMOVE):
+            watcher = trig("Watcher", "X", event=event, property="p")
+            assert any(e.matches(watcher) for e in events), event
