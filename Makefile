@@ -2,7 +2,10 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-storage test-concurrency test-paths test-optimizer test-triggers test-cypher lint bench bench-smoke explain-demo optimizer-demo serve
+.PHONY: test test-storage test-concurrency test-paths test-optimizer test-triggers test-cypher \
+	lint bench bench-smoke explain-demo streaming-demo batched-triggers-demo \
+	physical-operators-demo durability-demo concurrency-demo paths-demo optimizer-demo \
+	incremental-triggers-demo contact-tracing-demo serve
 
 ## Run the full tier-1 suite (unit + integration + benchmark assertions).
 test:
@@ -41,7 +44,8 @@ test-triggers:
 	$(PYTHON) -m pytest tests/triggers tests/integration/test_paper_section6.py -q
 
 ## The Cypher suite alone: lexer/parser, expression, planner and executor
-## units (streaming, physical operators, paths, plan cache) plus the
+## units (streaming, the projection-stage contracts of STREAM/TOPK/SORT/
+## AGGREGATE/WILDCARD, physical operators, paths, plan cache) plus the
 ## property-based join-ordering, parser round-trip and streaming-vs-eager
 ## differentials.
 test-cypher:

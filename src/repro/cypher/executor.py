@@ -12,23 +12,30 @@ iterator)``; :meth:`QueryExecutor.execute` drains it into the eager
 :class:`~repro.cypher.result.QueryResult` for callers that want the whole
 answer at once (the trigger engine, the compatibility emulators, tests).
 
-Not every clause can stream.  The following are *pipeline breakers* that
-drain their input (and, for clauses with side effects, compute their
-entire output) at pipeline-construction time, preserving the exact
-semantics of the fully-materialising executor this replaced:
+Not every clause can stream.  Write clauses (CREATE/MERGE/SET/REMOVE/
+DELETE/FOREACH) and CALL are *pipeline breakers*: they drain their input
+and run to completion at pipeline-construction time.  Their effects must
+apply even when a downstream LIMIT stops pulling, later clauses must see
+the graph as if the clause had run to completion, and procedures may have
+side effects (the APOC emulation's ``apoc.do.when`` runs write subqueries).
 
-* write clauses (CREATE/MERGE/SET/REMOVE/DELETE/FOREACH) — their effects
-  must be applied even when a downstream LIMIT stops pulling, and later
-  clauses must observe a graph state as if the clause had run to
-  completion;
-* CALL — procedures may have side effects (the APOC emulation's
-  ``apoc.do.when`` runs write subqueries);
-* projections with aggregation, ORDER BY, or ``*`` wildcards — they need
-  the complete input (the wildcard also needs it to discover columns).
+WITH and RETURN go through one projection stage, in the mode the planner
+chose for the clause:
+
+* STREAM projects row by row (DISTINCT, SKIP/LIMIT and WITH's WHERE
+  included) as rows are pulled; a LIMIT stops the pull.
+* TOPK (ORDER BY with LIMIT, no DISTINCT) is lazy too: at the first pull
+  it keeps SKIP+LIMIT rows in a heap, or, over an ordered index scan, takes
+  them in scan order.
+* SORT (any other ORDER BY), AGGREGATE and WILDCARD (``*`` must see every
+  row to know its columns) are breakers: they compute their whole output
+  at construction.
 
 Construction with ``eager=True`` materialises every stage clause-by-
-clause, reproducing the pre-pipeline behaviour exactly; the property
-tests and the P6 benchmark use it as the comparison baseline.
+clause, projections included (every row is projected before SKIP/LIMIT
+and TOPK clauses are fully sorted), reproducing the pre-pipeline
+behaviour; the property tests and the P6 benchmark use it as the
+comparison baseline.
 
 Writes go through a :class:`~repro.tx.transaction.Transaction` so that the
 transaction's delta captures every change (which is what the PG-Trigger
@@ -89,6 +96,7 @@ from .ast import (
     SetFromMapItem,
     SetLabelsItem,
     SetPropertyItem,
+    SortItem,
     UnwindClause,
     WithClause,
     expression_variable_names,
@@ -107,13 +115,12 @@ from .planner import (
     PLAN_CACHE,
     RANGE,
     REL_INDEX,
-    SORT,
     STREAM,
     TOPK,
-    WILDCARD,
     AccessPath,
     ProjectionPlan,
     QueryPlan,
+    _plan_projection,
 )
 from .result import QueryResult, QueryStatistics
 
@@ -256,7 +263,7 @@ class QueryExecutor:
 
         The returned iterator is lazy for streamable clause chains: pulling
         one row does the minimum matching work needed to produce it.
-        Pipeline-breaker clauses (writes, CALL, aggregation/ORDER BY/``*``
+        Pipeline-breaker clauses (writes, CALL, and SORT/AGGREGATE/WILDCARD
         projections — see the module docstring) run during this call, so a
         query with side effects has applied all of them by the time
         ``stream`` returns, whether or not the iterator is ever consumed.
@@ -307,7 +314,7 @@ class QueryExecutor:
             if isinstance(clause, ReturnClause):
                 if index != len(query.clauses) - 1:
                     raise UnsupportedFeatureError("RETURN must be the final clause")
-                return self._stream_projection(clause, rows)
+                return self._projection(clause, rows)
             rows = self._stream_clause(clause, rows)
         # No RETURN: drain now so the query's effects are fully applied at
         # statement execution time, exactly as in the eager executor.
@@ -365,7 +372,7 @@ class QueryExecutor:
         elif isinstance(clause, UnwindClause):
             out = self._iter_unwind(clause, rows)
         elif isinstance(clause, WithClause):
-            out = self._stream_with(clause, rows)
+            _, out = self._projection(clause, rows)
         else:
             out = iter(self._execute_breaker(clause, list(rows)))
         if self.eager:
@@ -1516,232 +1523,143 @@ class QueryExecutor:
     # WITH / RETURN (projection and aggregation)
     # ------------------------------------------------------------------
 
-    def _execute_with(self, clause: WithClause, rows: list[dict]) -> list[dict]:
-        _, projected = self._project(clause, rows)
-        if clause.where is not None:
-            projected = [row for row in projected if self._evaluate(clause.where, row) is True]
-        return projected
-
-    def _stream_with(self, clause: WithClause, rows: Iterator[dict]) -> Iterator[dict]:
-        mode = self._projection_mode(clause)
-        if mode == TOPK and not self.eager:
-            projected: Iterator[dict] = self._iter_topk(clause, rows)
-        elif mode != STREAM:
-            return iter(self._execute_with(clause, list(rows)))
-        else:
-            projected = self._iter_projection(clause, rows)
-        if clause.where is not None:
-            projected = (
-                row for row in projected if self._evaluate(clause.where, row) is True
-            )
-        return projected
-
-    def _stream_projection(
-        self, clause: ReturnClause, rows: Iterator[dict]
+    def _projection(
+        self, clause: WithClause | ReturnClause, rows: Iterator[dict]
     ) -> tuple[list[str], Iterator[dict]]:
-        """Terminal RETURN stage: ``(columns, lazily projected rows)``."""
-        mode = self._projection_mode(clause)
-        if self.eager or mode in (AGGREGATE, WILDCARD, SORT):
-            columns, projected = self._project(clause, list(rows))
-            return columns, iter(projected)
-        columns = [item.output_name() for item in clause.items]
-        if mode == TOPK:
-            return columns, self._iter_topk(clause, rows)
-        return columns, self._iter_projection(clause, rows)
+        """The one WITH/RETURN stage: ``(columns, projected rows)``.
 
-    def _projection_mode(self, clause: WithClause | ReturnClause) -> str:
-        """The planner's execution mode for this projection.
+        STREAM and TOPK clauses stay lazy: nothing, not even SKIP/LIMIT,
+        is evaluated before the first pull.  AGGREGATE, WILDCARD and SORT
+        clauses, and every clause under ``eager``, drain their input and
+        compute their whole output (WITH's WHERE included) right here.
+        """
+        plan = self._projection_plan(clause)
+        lazy = not self.eager and plan.mode in (STREAM, TOPK)
+        wildcard_names: list[str] = []
+        if not lazy:
+            rows = list(rows)
+            if clause.include_wildcard:
+                wildcard_names = list(dict.fromkeys(name for row in rows for name in row))
+        columns = wildcard_names + [item.output_name() for item in clause.items]
+        out = self._projected_rows(clause, plan, rows, wildcard_names, lazy)
+        where = clause.where if isinstance(clause, WithClause) else None
+        if where is not None:
+            out = (row for row in out if self._evaluate(where, row) is True)
+        return columns, out if lazy else iter(list(out))
 
-        Read from the physical plan when one is available (the common
-        case); re-derived only for clause objects executed outside a
-        planned query.  The ``eager`` baseline executes TOPK clauses
-        through the full-sort breaker, which is what the differential
-        suites compare the heap against.
+    def _projection_plan(self, clause: WithClause | ReturnClause) -> ProjectionPlan:
+        """The planner's plan for this projection.
+
+        A clause the planner never saw (a WITH inside a FOREACH body) is
+        planned on the spot by the same rule.
         """
         if self._plan is not None and self._plan.has_projection_plans:
             projection = self._plan.projection_for(clause)
             if projection is not None:
-                return projection.mode
-        if _collect_aggregates(list(clause.items)):
-            return AGGREGATE
-        if clause.include_wildcard:
-            return WILDCARD
-        if clause.order_by:
-            if clause.limit is not None and not clause.distinct:
-                return TOPK
-            return SORT
-        return STREAM
+                return projection
+        return _plan_projection(clause)
 
-    def _iter_topk(
-        self, clause: WithClause | ReturnClause, rows: Iterator[dict]
+    def _projected_rows(
+        self,
+        clause: WithClause | ReturnClause,
+        plan: ProjectionPlan,
+        rows: Iterable[dict],
+        wildcard_names: list[str],
+        lazy: bool,
     ) -> Iterator[dict]:
-        """Heap-based ORDER BY + LIMIT: keep ``skip+limit`` rows, not all.
+        """SKIP/LIMIT, project (or aggregate), DISTINCT, order, slice.
 
-        ``heapq.nsmallest`` is documented to equal ``sorted(...)[:k]`` —
-        including stability, via its internal input-order tiebreaker — so
-        this yields exactly what the full-sort breaker would, in O(n log k)
-        time and O(k) memory.
+        Materialising, every row is projected before the slice and the
+        ORDER BY is a full sort (skipped only when an ordered scan really
+        served the input).  Lazily, a TOPK clause keeps ``skip+limit``
+        pairs and a STREAM clause stops pulling once its slice is out.
         """
-        items = list(clause.items)
         skip = max(0, int(self._evaluate(clause.skip, {}))) if clause.skip is not None else 0
-        limit = max(0, int(self._evaluate(clause.limit, {})))
-        if limit <= 0:
-            return
-        projection = self._projection_plan(clause)
-        if projection is not None and projection.presorted and self._presorted_ok:
-            # Peek one row first: producing it forces the MATCH stage to
-            # pick its start operator, so ``_presorted_ok`` is final.
-            first = next(rows, _NO_ROW)
-            source = rows if first is _NO_ROW else itertools.chain([first], rows)
-            if self._presorted_ok:
-                yield from self._iter_topk_presorted(
-                    items, source, skip, limit, projection.early_exit
-                )
-                return
-            rows = source  # ordered scan fell back: take the heap below
-        sort_items = clause.order_by
+        limit = max(0, int(self._evaluate(clause.limit, {}))) if clause.limit is not None else None
+        if lazy and limit == 0:
+            return  # pull no input row (``islice`` would pull ``skip`` of them)
+        if plan.mode == AGGREGATE:
+            aggregates = _collect_aggregates(clause.items)
+            pairs: Iterable[tuple[dict, dict]] = self._project_with_aggregation(
+                clause.items, wildcard_names, aggregates, rows
+            )
+        else:
+            pairs = self._project_rows(clause.items, wildcard_names, rows)
+        if clause.distinct:
+            pairs = _distinct_pairs(pairs)
+        if not lazy:
+            pairs = list(pairs)
+            if clause.order_by and not (plan.presorted and self._presorted_ok):
+                pairs.sort(key=self._sort_key(clause.order_by))
+        elif plan.mode == TOPK:
+            pairs = self._top_pairs(plan, pairs, skip + limit)
+        stop = None if limit is None else skip + limit
+        for projected, _ in itertools.islice(pairs, skip, stop):
+            yield projected
 
-        def pairs() -> Iterator[tuple[dict, dict]]:
-            for row in rows:
-                out: dict[str, Any] = {}
-                for item in items:
-                    out[item.output_name()] = self._evaluate(item.expression, row)
-                yield out, row
+    def _project_rows(
+        self,
+        items: Sequence[ProjectionItem],
+        wildcard_names: list[str],
+        rows: Iterable[dict],
+    ) -> Iterator[tuple[dict, dict]]:
+        """``(projected, source)`` per row: the ``*`` columns, then the items."""
+        context = self._context()
+        compiled = [(item.output_name(), compile_expression(item.expression)) for item in items]
+        for row in rows:
+            out: dict[str, Any] = {}
+            for name in wildcard_names:
+                out[name] = row.get(name)
+            for name, value_of in compiled:
+                out[name] = value_of(row, context)
+            yield out, row
+
+    def _top_pairs(
+        self, plan: ProjectionPlan, pairs: Iterator[tuple[dict, dict]], keep: int
+    ) -> Iterator[tuple[dict, dict]]:
+        """TopK: the first ``keep`` pairs in ORDER BY order, found at the first pull.
+
+        Over input an ordered scan already sorted there is no heap.  With
+        ``early_exit`` (every projection expression evaluation-safe) the
+        pairs pass straight through, so the caller's slice stops pulling
+        input after ``keep`` rows.  Without it every row is still projected
+        before anything is yielded, so an expression that raises past LIMIT
+        surfaces as the heap would surface it.  Otherwise
+        ``heapq.nsmallest``, documented to equal ``sorted(...)[:keep]``
+        including stability, keeps O(keep) pairs.
+        """
+        if plan.presorted and self._presorted_ok:
+            # Peek one pair first: producing it forces the MATCH stage to
+            # pick its start operator, so ``_presorted_ok`` is final.
+            first = next(pairs, _NO_ROW)
+            if first is _NO_ROW:
+                return
+            pairs = itertools.chain([first], pairs)
+            if self._presorted_ok:
+                if plan.early_exit:
+                    yield from pairs
+                    return
+                kept = list(itertools.islice(pairs, keep))
+                for _ in pairs:  # project the rest: an error past LIMIT must surface
+                    pass
+                yield from kept
+                return
+        yield from heapq.nsmallest(keep, pairs, key=self._sort_key(plan.clause.order_by))
+
+    def _sort_key(self, order_by: Sequence[SortItem]) -> Callable[[tuple[dict, dict]], list]:
+        context = self._context()
+        keys = [(compile_expression(item.expression), item.descending) for item in order_by]
 
         def sort_key(pair: tuple[dict, dict]) -> list:
             projected, source = pair
-            # Same scoping rule as the full-sort path: ORDER BY sees both
-            # the projected aliases and the pre-projection variables.
+            # ORDER BY may refer both to projected aliases and to the
+            # pre-projection variables (as in openCypher); projected names win.
             scope = {**source, **projected}
             return [
-                _SortValue(self._evaluate(item.expression, scope), descending=item.descending)
-                for item in sort_items
+                _SortValue(value_of(scope, context), descending) for value_of, descending in keys
             ]
 
-        top = heapq.nsmallest(skip + limit, pairs(), key=sort_key)
-        for projected, _ in top[skip:]:
-            yield projected
-
-    def _iter_topk_presorted(
-        self,
-        items: list[ProjectionItem],
-        rows: Iterator[dict],
-        skip: int,
-        limit: int,
-        early_exit: bool,
-    ) -> Iterator[dict]:
-        """TopK over input the ordered scan already sorted: no heap at all.
-
-        With ``early_exit`` (every projection expression evaluation-safe)
-        the input stops being pulled once LIMIT rows are out — the whole
-        point of the ordered scan.  Without it, every row is still
-        projected *before* anything is yielded, so an expression that
-        raises surfaces exactly as the heap path (which projects all rows
-        inside ``nsmallest``) would have surfaced it.
-        """
-        if early_exit:
-            skipped = emitted = 0
-            for row in rows:
-                out = {
-                    item.output_name(): self._evaluate(item.expression, row)
-                    for item in items
-                }
-                if skipped < skip:
-                    skipped += 1
-                    continue
-                yield out
-                emitted += 1
-                if emitted >= limit:
-                    return
-            return
-        kept: list[dict] = []
-        for row in rows:
-            out = {
-                item.output_name(): self._evaluate(item.expression, row)
-                for item in items
-            }
-            if len(kept) < skip + limit:
-                kept.append(out)
-        yield from kept[skip:]
-
-    def _projection_plan(
-        self, clause: WithClause | ReturnClause
-    ) -> ProjectionPlan | None:
-        if self._plan is not None and self._plan.has_projection_plans:
-            return self._plan.projection_for(clause)
-        return None
-
-    def _iter_projection(
-        self, clause: WithClause | ReturnClause, rows: Iterator[dict]
-    ) -> Iterator[dict]:
-        """Streaming projection with DISTINCT and SKIP/LIMIT short-circuiting."""
-        items = list(clause.items)
-        seen: set | None = set() if clause.distinct else None
-        skip = max(0, int(self._evaluate(clause.skip, {}))) if clause.skip is not None else 0
-        limit = max(0, int(self._evaluate(clause.limit, {}))) if clause.limit is not None else None
-        if limit is not None and limit <= 0:
-            return
-        emitted = 0
-        skipped = 0
-        for row in rows:
-            out: dict[str, Any] = {}
-            for item in items:
-                out[item.output_name()] = self._evaluate(item.expression, row)
-            if seen is not None:
-                key = tuple(sorted((k, _hashable(v)) for k, v in out.items()))
-                if key in seen:
-                    continue
-                seen.add(key)
-            if skipped < skip:
-                skipped += 1
-                continue
-            yield out
-            emitted += 1
-            if limit is not None and emitted >= limit:
-                return
-
-    def _project(
-        self, clause: WithClause | ReturnClause, rows: list[dict]
-    ) -> tuple[list[str], list[dict]]:
-        items = list(clause.items)
-        columns: list[str] = []
-        wildcard_names: list[str] = []
-        if clause.include_wildcard:
-            seen: set[str] = set()
-            for row in rows:
-                for name in row:
-                    if name not in seen:
-                        seen.add(name)
-                        wildcard_names.append(name)
-            columns.extend(wildcard_names)
-        columns.extend(item.output_name() for item in items)
-
-        aggregates = _collect_aggregates(items)
-        if aggregates:
-            pairs = self._project_with_aggregation(items, wildcard_names, aggregates, rows)
-        else:
-            pairs = []
-            for row in rows:
-                out: dict[str, Any] = {}
-                for name in wildcard_names:
-                    out[name] = row.get(name)
-                for item in items:
-                    out[item.output_name()] = self._evaluate(item.expression, row)
-                pairs.append((out, row))
-
-        if clause.distinct:
-            pairs = _distinct_pairs(pairs)
-        if clause.order_by and not self._input_presorted(clause):
-            pairs = self._order_rows(pairs, clause.order_by)
-        if clause.skip is not None:
-            # Clamp at 0 so a (nonsensical) negative value cannot trip
-            # Python's negative-index slicing; mirrors _iter_projection.
-            skip = max(0, int(self._evaluate(clause.skip, {})))
-            pairs = pairs[skip:]
-        if clause.limit is not None:
-            limit = max(0, int(self._evaluate(clause.limit, {})))
-            pairs = pairs[:limit]
-        return columns, [projected for projected, _ in pairs]
+        return sort_key
 
     def _project_with_aggregation(
         self,
@@ -1795,31 +1713,6 @@ class QueryExecutor:
             value = self._evaluate(argument, row) if argument is not None else 1
             aggregator.update(value)
         return aggregator.result()
-
-    def _input_presorted(self, clause: WithClause | ReturnClause) -> bool:
-        """May this projection skip its sort?  Only after its input is
-        fully materialised (``_project`` receives a list), so the ordered
-        scan has already run — or declined — and the flag is final."""
-        if not self._presorted_ok:
-            return False
-        projection = self._projection_plan(clause)
-        return projection is not None and projection.presorted
-
-    def _order_rows(
-        self, pairs: list[tuple[dict, dict]], sort_items
-    ) -> list[tuple[dict, dict]]:
-        def sort_key(pair: tuple[dict, dict]):
-            projected, source = pair
-            # ORDER BY may refer both to projected aliases and to the
-            # pre-projection variables (as in openCypher); projected names win.
-            scope = {**source, **projected}
-            key = []
-            for item in sort_items:
-                value = self._evaluate(item.expression, scope)
-                key.append(_SortValue(value, descending=item.descending))
-            return key
-
-        return sorted(pairs, key=sort_key)
 
     # ------------------------------------------------------------------
     # CREATE / MERGE
@@ -2304,12 +2197,11 @@ def _hashable(value: Any) -> Any:
     return value
 
 
-def _distinct_pairs(pairs: list[tuple[dict, dict]]) -> list[tuple[dict, dict]]:
+def _distinct_pairs(pairs: Iterable[tuple[dict, dict]]) -> Iterator[tuple[dict, dict]]:
+    """DISTINCT: the first pair of each group of equal projected rows."""
     seen: set = set()
-    output: list[tuple[dict, dict]] = []
     for projected, source in pairs:
         key = tuple(sorted((k, _hashable(v)) for k, v in projected.items()))
         if key not in seen:
             seen.add(key)
-            output.append((projected, source))
-    return output
+            yield projected, source

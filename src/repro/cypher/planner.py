@@ -114,7 +114,6 @@ from .ast import (
     expression_variable_names,
     walk_expression,
 )
-from .errors import CypherSyntaxError
 from .functions import is_aggregate_function
 from .lexer import Token, tokenize
 from .parser import parse_expression, parse_query
@@ -1478,6 +1477,10 @@ class _PlanEntry:
     plan: QueryPlan
 
 
+#: First tokens that make a WHEN body a condition query, not a predicate.
+_CONDITION_QUERY_STARTS = ("MATCH", "OPTIONAL", "UNWIND", "WITH", "CALL")
+
+
 @dataclass(frozen=True)
 class CompiledCondition:
     """A cached PG-Trigger WHEN body plus cheap-to-test shape flags.
@@ -1616,9 +1619,11 @@ class PlanCache:
     def condition_compiled(self, text: str) -> CompiledCondition:
         """Parse a PG-Trigger WHEN body (cached), with shape flags.
 
-        Plain predicates parse as expressions; MATCH/UNWIND/WITH pipelines
-        parse as queries and get a wildcard RETURN appended when absent, so
-        the surviving rows become the condition rows.
+        A body whose first token starts a clause (MATCH, OPTIONAL, UNWIND,
+        WITH, CALL) parses as a query and gets a wildcard RETURN appended
+        when absent, so the surviving rows become the condition rows;
+        anything else is a plain predicate.  Deciding by the first token
+        keeps a bare ``MATCH (n:C)`` from parsing as a call to ``match()``.
         """
         with self._lock:
             cached = self._conditions.get(text)
@@ -1626,7 +1631,14 @@ class PlanCache:
                 self._conditions.move_to_end(text)
                 self.stats.condition_hits += 1
                 return cached
-        try:
+        if tokenize(text)[0].is_keyword(*_CONDITION_QUERY_STARTS):
+            query = parse_query(text)
+            if not any(isinstance(clause, ReturnClause) for clause in query.clauses):
+                query = Query(
+                    clauses=query.clauses + (ReturnClause(items=(), include_wildcard=True),)
+                )
+            compiled = CompiledCondition(parsed=query, is_query=True, has_exists=False)
+        else:
             expression = parse_expression(text)
             compiled = CompiledCondition(
                 parsed=expression,
@@ -1635,13 +1647,6 @@ class PlanCache:
                     isinstance(sub, ExistsPattern) for sub in walk_expression(expression)
                 ),
             )
-        except CypherSyntaxError:
-            query = parse_query(text)
-            if not any(isinstance(clause, ReturnClause) for clause in query.clauses):
-                query = Query(
-                    clauses=query.clauses + (ReturnClause(items=(), include_wildcard=True),)
-                )
-            compiled = CompiledCondition(parsed=query, is_query=True, has_exists=False)
         with self._lock:
             self.stats.condition_misses += 1
             self._insert(self._conditions, text, compiled)

@@ -191,6 +191,209 @@ class TestSingleNodeScan:
         assert stream_rows(graph, query, eager=True) == expected
 
 
+class TestProjectionStages:
+    """The one WITH/RETURN stage keeps every mode's contract: what it yields,
+    when it does its work (``stream()`` or the first pull) and what it pulls.
+
+    Twelve ``P`` nodes; ``v`` orders them 0, 7, 2, 9, 4, 11, 6, 1, 8, …
+    by ``seq``, and ``10 / p.d`` divides by zero on ``seq`` 8 only, which
+    is past every LIMIT below in both id order and ``v`` order.
+    """
+
+    @pytest.fixture
+    def scored(self) -> PropertyGraph:
+        g = PropertyGraph()
+        for index in range(12):
+            properties = {"seq": index, "v": (index * 7) % 12, "d": 0 if index == 8 else 1}
+            g.create_node(["P"], properties)
+        return g
+
+    @pytest.fixture
+    def pulled(self, monkeypatch) -> list[int]:
+        """Ids of the MATCH candidates pulled so far."""
+        pulled: list[int] = []
+        original = QueryExecutor._candidate_nodes
+
+        def counting(self, *args, **kwargs):
+            for node, bindings in original(self, *args, **kwargs):
+                pulled.append(node.id)
+                yield node, bindings
+
+        monkeypatch.setattr(QueryExecutor, "_candidate_nodes", counting)
+        return pulled
+
+    def test_rows_and_row_order_match_eager(self, scored):
+        queries = [
+            "MATCH (p:P) RETURN p.seq AS s ORDER BY p.v DESC SKIP 1 LIMIT 3",
+            "MATCH (p:P) RETURN DISTINCT p.seq % 3 AS g ORDER BY g DESC SKIP 1 LIMIT 2",
+            "MATCH (p:P) RETURN p.seq % 3 AS g, count(*) AS c ORDER BY c DESC, g LIMIT 1",
+            "MATCH (p:P) WITH p ORDER BY p.v LIMIT 3 WHERE p.v > 1 RETURN p.seq AS s",
+            "MATCH (p:P) WITH p.seq % 4 AS g, count(*) AS c WHERE g > 1 RETURN g, c",
+            "MATCH (p:P) WITH p SKIP 2 LIMIT 3 RETURN p.seq AS s",
+            "MATCH (p:P) RETURN * ORDER BY p.v LIMIT 2",
+        ]
+        for query in queries:
+            streamed = stream_rows(scored, query)
+            assert streamed and streamed == stream_rows(scored, query, eager=True), query
+
+    def test_distinct_keeps_the_first_row_of_each_duplicate(self, scored):
+        pairs = "UNWIND [[1, 'a'], [2, 'b'], [1, 'c'], [3, 'a']] AS r "
+        for options in ({}, {"eager": True}):
+            # SORT: ORDER BY reads the kept row's source ``r``.
+            query = pairs + "RETURN DISTINCT r[0] AS k ORDER BY r[1], k"
+            rows = stream_rows(scored, query, **options)
+            assert [row["k"] for row in rows] == [1, 3, 2]
+            # STREAM: the kept row is the first, so first-seen order survives.
+            rows = stream_rows(scored, pairs + "RETURN DISTINCT r[0] AS k", **options)
+            assert [row["k"] for row in rows] == [1, 2, 3]
+
+    def test_order_by_sees_projected_names_first_and_sorts_nulls_last(self, scored):
+        cases = {
+            "UNWIND [1, 2, 3] AS x RETURN -x AS x ORDER BY x LIMIT 2": [-3, -2],
+            "UNWIND [1, 2, 3] AS x RETURN -x AS x ORDER BY x": [-3, -2, -1],
+            "UNWIND [3, 1, 2] AS x RETURN x * 10 AS y ORDER BY x DESC LIMIT 2": [30, 20],
+            "UNWIND [2, null, 1] AS x RETURN x AS y ORDER BY x LIMIT 3": [1, 2, None],
+            "UNWIND [2, null, 1] AS x RETURN x AS y ORDER BY y DESC LIMIT 3": [2, 1, None],
+            "UNWIND [2, null, 1] AS x RETURN x AS y ORDER BY y DESC": [2, 1, None],
+        }
+        for query, expected in cases.items():
+            for options in ({}, {"eager": True}):
+                rows = stream_rows(scored, query, **options)
+                assert [next(iter(row.values())) for row in rows] == expected, (query, options)
+
+    def test_negative_skip_and_limit_clamp_to_zero_in_every_mode(self, scored):
+        bounds = {"s": -2, "l": -1}
+        for tail in ("RETURN p.seq AS s", "RETURN p.seq AS s ORDER BY p.v",
+                     "WITH p ORDER BY p.v", "RETURN DISTINCT p.seq AS s ORDER BY s"):
+            prefix = "MATCH (p:P) " + tail
+            suffix = "" if tail.startswith("RETURN") else " RETURN p.seq AS s"
+            for options in ({}, {"eager": True}):
+                skipped = stream_rows(scored, prefix + " SKIP $s LIMIT 4" + suffix,
+                                      parameters=bounds, **options)
+                assert len(skipped) == 4, (tail, options)
+                assert stream_rows(scored, prefix + " LIMIT $l" + suffix,
+                                   parameters=bounds, **options) == []
+
+    def test_lazy_limit_zero_pulls_no_input_row(self, scored, pulled):
+        for query in (
+            "MATCH (p:P) RETURN 10 / p.d AS q LIMIT 0",
+            "MATCH (p:P) RETURN 10 / p.d AS q SKIP 2 LIMIT 0",
+            "MATCH (p:P) RETURN 10 / p.d AS q ORDER BY q LIMIT 0",
+            "MATCH (p:P) RETURN 10 / p.d AS q ORDER BY q SKIP 2 LIMIT 0",
+            "MATCH (p:P) WITH p SKIP 2 LIMIT 0 RETURN p.seq AS s",
+        ):
+            assert stream_rows(scored, query) == [], query
+            assert pulled == [], query
+
+    def test_stream_and_topk_work_only_once_pulled(self, scored, pulled):
+        from repro.cypher.errors import CypherRuntimeError
+
+        for query in (
+            "MATCH (p:P) RETURN 10 / p.d AS q",  # STREAM
+            "MATCH (p:P) RETURN 10 / p.d AS q ORDER BY p.v LIMIT 2",  # TOPK (heap)
+            "MATCH (p:P) WITH p WHERE 10 / p.d > 0 RETURN p.seq AS s",  # lazy WITH … WHERE
+        ):
+            pulled.clear()
+            _, rows = QueryExecutor(scored).stream(query)
+            assert pulled == [], query
+            with pytest.raises(CypherRuntimeError, match="division by zero"):
+                list(rows)
+
+    def test_breakers_work_inside_stream(self, scored, pulled):
+        from repro.cypher.errors import CypherRuntimeError
+
+        for query in (
+            "MATCH (p:P) RETURN sum(10 / p.d) AS total",  # AGGREGATE
+            "MATCH (p:P) RETURN 10 / p.d AS q ORDER BY p.v",  # SORT
+            "MATCH (p:P) WITH p, 10 / p.d AS q RETURN *",  # WILDCARD
+            # A breaker WITH applies its WHERE at construction too.
+            "MATCH (p:P) WITH p ORDER BY p.v WHERE 10 / p.d > 0 RETURN p.seq AS s",
+        ):
+            with pytest.raises(CypherRuntimeError, match="division by zero"):
+                QueryExecutor(scored).stream(query)
+
+    def test_ordered_scan_topk_with_early_exit_stops_after_skip_plus_limit(self, scored, pulled):
+        scored.create_range_index("P", "v")
+        query = "MATCH (p:P) RETURN p.seq AS s ORDER BY p.v SKIP 1 LIMIT 2"
+        assert "OrderedIndexScan" in QueryExecutor(scored).plan_description(query)
+        _, rows = QueryExecutor(scored).stream(query)
+        assert pulled == []
+        assert list(rows) == [{"s": 7}, {"s": 2}]
+        assert len(pulled) == 3
+
+    def test_ordered_scan_topk_without_early_exit_projects_every_row_first(self, scored, pulled):
+        from repro.cypher.errors import CypherRuntimeError
+
+        scored.create_range_index("P", "v")
+        # ``p.seq + 0`` may raise in general, so no early exit.
+        query = "MATCH (p:P) RETURN p.seq + 0 AS s ORDER BY p.v LIMIT 2"
+        assert "OrderedIndexScan" in QueryExecutor(scored).plan_description(query)
+        _, rows = QueryExecutor(scored).stream(query)
+        assert pulled == []
+        assert next(rows) == {"s": 0}
+        assert len(pulled) == 12
+        # The ÷0 row sorts ninth: the first pull raises, no row comes out.
+        _, rows = QueryExecutor(scored).stream(
+            "MATCH (p:P) RETURN p.seq AS s, 10 / p.d AS q ORDER BY p.v LIMIT 2"
+        )
+        with pytest.raises(CypherRuntimeError, match="division by zero"):
+            next(rows)
+
+    def test_eager_projects_every_row_before_slicing(self, scored):
+        from repro.cypher.errors import CypherRuntimeError
+
+        for query in (
+            "MATCH (p:P) RETURN 10 / p.d AS q LIMIT 2",
+            "MATCH (p:P) RETURN 10 / p.d AS q SKIP 2 LIMIT 0",
+            "MATCH (p:P) WITH 10 / p.d AS q LIMIT 2 RETURN q",
+        ):
+            assert len(stream_rows(scored, query)) <= 2
+            with pytest.raises(CypherRuntimeError, match="division by zero"):
+                QueryExecutor(scored, eager=True).stream(query)
+
+    def test_eager_sorts_topk_in_full(self, scored, pulled, monkeypatch):
+        import heapq
+
+        heaps: list[int] = []
+        nsmallest = heapq.nsmallest
+
+        def spying(n, iterable, key=None):
+            heaps.append(n)
+            return nsmallest(n, iterable, key=key)
+
+        monkeypatch.setattr(heapq, "nsmallest", spying)
+        query = "MATCH (p:P) RETURN p.seq AS s ORDER BY p.v DESC LIMIT 2"
+        assert stream_rows(scored, query) == [{"s": 5}, {"s": 10}]
+        assert heaps == [2]
+        assert stream_rows(scored, query, eager=True) == [{"s": 5}, {"s": 10}]
+        assert heaps == [2]
+        # Over an ordered scan the eager baseline still pulls and sorts it all.
+        scored.create_range_index("P", "v")
+        pulled.clear()
+        assert stream_rows(scored, query, eager=True) == [{"s": 5}, {"s": 10}]
+        assert len(pulled) == 12
+
+    def test_with_inside_foreach_streaming_equals_eager(self):
+        queries = (
+            "FOREACH (x IN [1] | MATCH (n:N) WITH n ORDER BY n.v DESC LIMIT 1 SET n.top = true)",
+            "FOREACH (x IN [1] | MATCH (n:N) WITH n.g AS g, count(*) AS c "
+            "MATCH (m:N {g: g}) SET m.c = c)",
+        )
+        states = []
+        for options in ({}, {"eager": True}):
+            g = PropertyGraph()
+            for index in range(5):
+                g.create_node(["N"], {"v": index, "g": index % 2})
+            for query in queries:
+                QueryExecutor(g, **options).execute(query)
+            states.append(
+                stream_rows(g, "MATCH (n:N) RETURN n.v AS v, n.top AS top, n.c AS c ORDER BY v")
+            )
+        assert states[0] == states[1]
+        assert [row["top"] for row in states[0]] == [None, None, None, None, True]
+        assert [row["c"] for row in states[0]] == [3, 2, 3, 2, 3]
+
+
 class TestResultAPI:
     def records(self):
         return [{"x": 1}, {"x": 2}, {"x": 3}]

@@ -291,6 +291,10 @@ _QUERY_TEMPLATES = [
     "MATCH (a:Person)-[r:TreatedAt]->(h:Hospital) RETURN a.value AS a, h.value AS h",
     "MATCH (a:Person)-[r:TreatedAt]->(:Hospital) WHERE r.w = $v DELETE r",
     "MATCH (p:Person) RETURN p",
+    "MATCH (n:Person) RETURN n.value AS value ORDER BY value DESC LIMIT $v",
+    "MATCH (n:Person) RETURN DISTINCT n.value AS value ORDER BY value SKIP 1 LIMIT 2",
+    "MATCH (n) RETURN n.value AS v, count(*) AS c ORDER BY c DESC, v LIMIT 1",
+    "MATCH (n:Person) WITH n ORDER BY n.value LIMIT 3 WHERE n.value > $v RETURN n.value AS value",
 ]
 
 query_mixes = st.lists(

@@ -133,3 +133,33 @@ class TestFastSuppressPath:
             session.run("CREATE (:Entity)")
         totals = sorted(a["total"] for a in session.alerts())
         assert totals == [3, 4]
+
+
+class TestConditionShape:
+    """The first token decides query vs predicate: a bare ``MATCH`` body
+    used to parse as a call to an unknown ``match()`` function."""
+
+    def test_bare_match_bodies_are_queries_and_fire(self):
+        session = make_session()
+        session.run("CREATE (:C)")
+        session.create_trigger(
+            "CREATE TRIGGER AnyC AFTER CREATE ON 'Item' FOR EACH NODE "
+            "WHEN MATCH (n:C) BEGIN CREATE (:AlertC) END"
+        )
+        session.create_trigger(
+            "CREATE TRIGGER Self AFTER CREATE ON 'Item' FOR EACH NODE "
+            "WHEN MATCH (NEW) BEGIN CREATE (:AlertSelf) END"
+        )
+        session.run("CREATE (:Item), (:Item)")
+        count = "MATCH (a:{}) RETURN count(a) AS n"
+        assert session.run(count.format("AlertC")).single("n") == 2
+        assert session.run(count.format("AlertSelf")).single("n") == 2
+
+    def test_clause_keywords_start_queries_everything_else_is_a_predicate(self):
+        for body in ("MATCH (n)", "MATCH (n:C:D)", "OPTIONAL MATCH (n:C)",
+                     "UNWIND [1] AS x", "WITH 1 AS x WHERE x > 0"):
+            assert PLAN_CACHE.condition_compiled(body).is_query, body
+        for body in ("OLD.x <> NEW.x", "EXISTS (NEW)-[:R]-(:C)", "NOT EXISTS (NEW)-[:R]-()"):
+            compiled = PLAN_CACHE.condition_compiled(body)
+            assert not compiled.is_query, body
+        assert PLAN_CACHE.condition_compiled("EXISTS (NEW)-[:R]-(:C)").has_exists
