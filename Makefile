@@ -38,8 +38,9 @@ test-optimizer:
 ## soundness properties and termination analysis, the batched two-way
 ## differential and the incremental three-way differential (sequential ==
 ## batched == incremental, incl. mid-stream DDL and trigger install/drop,
-## with Hypothesis randomized streams), plus the paper's Section 6
-## termination verdicts.
+## with Hypothesis randomized streams), the condition-plan tests (NEW/OLD
+## anchor pattern starts, BoundRelationship(NEW), EXISTS planned in scope,
+## flat plan-cache misses), plus the paper's Section 6 termination verdicts.
 test-triggers:
 	$(PYTHON) -m pytest tests/triggers tests/integration/test_paper_section6.py -q
 
@@ -47,7 +48,8 @@ test-triggers:
 ## units (streaming, the projection-stage contracts of STREAM/TOPK/SORT/
 ## AGGREGATE/WILDCARD, physical operators, paths, plan cache) plus the
 ## property-based join-ordering, parser round-trip and streaming-vs-eager
-## differentials.
+## differentials, the anchor differential (initial-row anchors == UNWIND)
+## and index == no-index for seeks on bound values.
 test-cypher:
 	$(PYTHON) -m pytest tests/cypher tests/test_join_ordering_properties.py tests/test_properties.py -q
 

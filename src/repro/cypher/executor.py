@@ -108,7 +108,9 @@ from .functions import AGGREGATE_FUNCTIONS, is_aggregate_function
 from .physical import HashJoin, JoinOperator
 from .planner import (
     AGGREGATE,
+    BOUND_REL,
     COMPOSITE,
+    EMPTY_SCOPE,
     IN_LIST,
     INDEX,
     ORDERED,
@@ -120,6 +122,7 @@ from .planner import (
     AccessPath,
     ProjectionPlan,
     QueryPlan,
+    Scope,
     _plan_projection,
 )
 from .result import QueryResult, QueryStatistics
@@ -246,6 +249,7 @@ class QueryExecutor:
         streaming execution share one code path.  ``bindings`` pre-populates
         the initial row; the trigger engine uses this to expose transition
         variables (``NEW``, ``OLD``, …) to condition and action statements.
+        The planner sees what it binds (:meth:`_initial_scope`).
         """
         columns, rows = self.stream(query, parameters=parameters, bindings=bindings)
         result = QueryResult(statistics=self.last_statistics)
@@ -294,13 +298,14 @@ class QueryExecutor:
         parameters: Mapping[str, Any] | None,
         initial_rows: list[dict[str, Any]],
     ) -> tuple[list[str], Iterator[dict[str, Any]]]:
+        scope = self._initial_scope(initial_rows)
         if isinstance(query, str):
             query, self._plan = PLAN_CACHE.get(
-                query, self.graph, frozenset(self.virtual_labels)
+                query, self.graph, frozenset(self.virtual_labels), scope
             )
         else:
             self._plan = PLAN_CACHE.get_for_parsed(
-                query, self.graph, frozenset(self.virtual_labels)
+                query, self.graph, frozenset(self.virtual_labels), scope
             )
         if parameters:
             self.parameters.update(parameters)
@@ -321,6 +326,33 @@ class QueryExecutor:
         for _ in rows:
             pass
         return [], iter(())
+
+    def _initial_scope(self, rows: list[dict[str, Any]]) -> Scope:
+        """What every initial row binds, for the planner (see :class:`Scope`).
+
+        Liveness is read now, not assumed: an earlier firing may have
+        deleted a trigger's ``NEW``, and a DELETE trigger's ``OLD`` is gone.
+        """
+        if not rows or not rows[0]:
+            return EMPTY_SCOPE
+        names = set(rows[0])
+        for row in rows[1:]:
+            names.intersection_update(row)
+        if not names:
+            return EMPTY_SCOPE
+        graph = self.graph
+        nodes = []
+        rels = []
+        for name in names:
+            values = [row[name] for row in rows]
+            if all(isinstance(v, Node) and graph.has_node(v.id) for v in values):
+                nodes.append(name)
+            elif all(
+                isinstance(v, Relationship) and graph.has_relationship(v.id)
+                for v in values
+            ):
+                rels.append(name)
+        return Scope(frozenset(names), frozenset(nodes), frozenset(rels))
 
     @property
     def last_plan(self) -> QueryPlan | None:
@@ -554,10 +586,9 @@ class QueryExecutor:
             pattern, row, join_variables
         ):
             # This probe row cannot use the shared-variable hash join: a
-            # join variable is unbound/non-node (OPTIONAL MATCH padding —
-            # unbound matches *everything*, which a hash key cannot
-            # express) or the row binds a pattern variable the planner
-            # thought free (the unbound build would ignore the anchor).
+            # join variable is null or not a node (OPTIONAL MATCH padding)
+            # or the row binds a pattern variable the planner thought free
+            # (the unbound build would ignore the anchor).
             # The nested loop is always row-set-correct.
             for extended in self._iter_pattern(pattern, row):
                 yield from self._iter_join_steps(steps, index + 1, extended, join_state)
@@ -588,10 +619,7 @@ class QueryExecutor:
         names = set(self._pattern_dependencies(pattern))
         if pattern.variable is not None:
             names.add(pattern.variable)
-        return not any(
-            name not in join_variables and row.get(name) is not None
-            for name in names
-        )
+        return not any(name not in join_variables and name in row for name in names)
 
     def _join_build_table(
         self,
@@ -740,8 +768,12 @@ class QueryExecutor:
         if pattern.shortest is not None:
             yield from self._iter_shortest(pattern, elements, row, access)
             return
-        if access is not None and access.kind == REL_INDEX:
-            relationships = self._rel_seek_candidates(access, row)
+        if access is not None and access.kind in (REL_INDEX, BOUND_REL):
+            relationships = (
+                self._rel_seek_candidates(access, row)
+                if access.kind == REL_INDEX
+                else self._bound_relationship(access, row)
+            )
             if relationships is not None:
                 yield from self._iter_pattern_from_relationships(
                     pattern, elements, relationships, row
@@ -775,6 +807,19 @@ class QueryExecutor:
         except TypeError:
             # Unhashable probe value: the index cannot answer eagerly.
             return None
+
+    def _bound_relationship(
+        self, access: AccessPath, row: dict
+    ) -> list[Relationship] | None:
+        """The relationship a ``BoundRelationship`` start reads (``None``: scan).
+
+        The same candidate the node-anchored walk would take for the bound
+        hop: the live version, or the row's own value once deleted.
+        """
+        rel = row.get(access.value.name)
+        if not isinstance(rel, Relationship):
+            return None
+        return [self.graph.relationship_or_none(rel.id) or rel]
 
     def _iter_pattern_from_relationships(
         self,
@@ -1247,10 +1292,16 @@ class QueryExecutor:
         row: dict,
         access: AccessPath | None = None,
     ) -> Iterator[tuple[Node, dict]]:
-        """Yield (node, updated bindings) pairs satisfying ``node_pattern``."""
+        """Yield (node, updated bindings) pairs satisfying ``node_pattern``.
+
+        A variable the row binds yields that node only; bound to null, it
+        yields nothing.
+        """
         variable = node_pattern.variable
-        if variable is not None and row.get(variable) is not None:
+        if variable is not None and variable in row:
             bound = row[variable]
+            if bound is None:
+                return
             if not isinstance(bound, Node):
                 raise CypherTypeError(f"variable {variable!r} is not bound to a node")
             refreshed = self.graph.node(bound.id) if self.graph.has_node(bound.id) else bound
@@ -1286,10 +1337,11 @@ class QueryExecutor:
                     if value is not None
                     else None
                 )
-            except (TypeError, CypherRuntimeError):
-                # Unhashable parameter value (dict, set, …) or a missing
-                # parameter: the probe cannot run eagerly.  Fall back to the
-                # scan below, which reproduces the unplanned semantics — the
+            except (TypeError, CypherError):
+                # Unhashable value (dict, set, …), a missing parameter or a
+                # value that fails to evaluate (``row.k`` on an integer):
+                # the probe cannot run eagerly.  Fall back to the scan
+                # below, which reproduces the unplanned semantics — the
                 # WHERE/property re-check raises (or filters) per candidate
                 # exactly as it did before planning existed.
                 hit = None
@@ -1442,9 +1494,12 @@ class QueryExecutor:
         return True
 
     def _bind_node(self, node_pattern: NodePattern, node: Node, bindings: dict) -> dict | None:
-        """Check ``node`` against the pattern and return extended bindings (or None)."""
+        """Check ``node`` against the pattern and return extended bindings (or None).
+
+        A variable bound to null (or to anything but this node) rejects it.
+        """
         variable = node_pattern.variable
-        if variable is not None and bindings.get(variable) is not None:
+        if variable is not None and variable in bindings:
             existing = bindings[variable]
             if not isinstance(existing, Node) or existing.id != node.id:
                 return None

@@ -25,7 +25,10 @@ Start operators — how a pattern's candidate set is produced
 * ``IndexRangeSeek(L.p > lo AND L.p <= hi)`` — sorted-index range seek
   over the ordered property index;
 * ``RelIndexSeek(T.p = v)`` — equality probe into a relationship-property
-  index; the pattern is matched outward from the seeked relationships.
+  index; the pattern is matched outward from the seeked relationships;
+* ``BoundRelationship(r)`` — the relationship the row already binds to
+  the pattern's first hop (a trigger's ``NEW``); matched outward like a
+  ``RelIndexSeek`` hit.
 
 Pattern operators:
 
@@ -74,6 +77,7 @@ INDEX = "index"
 IN_LIST = "in"
 RANGE = "range"
 REL_INDEX = "rel_index"
+BOUND_REL = "bound_rel"
 VIRTUAL = "virtual"
 LABEL = "label"
 SCAN = "scan"
@@ -108,9 +112,10 @@ class AccessPath:
     #: Indexed property (seek kinds only).
     property: Optional[str] = None
     #: Expression producing the looked-up value (``index``: the equality
-    #: value; ``in``: the whole list expression).  Always a literal or
-    #: parameter (or a list of them), so it never depends on other pattern
-    #: variables.
+    #: value; ``in``: the whole list expression; ``bound_rel``: the
+    #: relationship variable).  A literal, a parameter, or a variable bound
+    #: before the clause (or a property-access chain on one), so it never
+    #: depends on the pattern's own variables.
     value: Optional[Expression] = None
     #: Candidate real labels for a ``label`` scan (the executor picks the
     #: most selective one at run time, so counts never go stale).
@@ -176,6 +181,11 @@ class AccessPath:
             return (
                 f"RelIndexSeek({self.rel_type}.{self.property} = "
                 f"{expression_text(self.value)})" + _est(self.estimated_rows)
+            )
+        if self.kind == BOUND_REL:
+            return (
+                f"BoundRelationship({expression_text(self.value)})"
+                + _est(self.estimated_rows)
             )
         if self.kind == VIRTUAL:
             return f"VirtualLabelScan({self.label})"
@@ -458,8 +468,9 @@ def physical_chain(
     declared index covers the hop), a ``shortestPath`` pattern to a single
     :class:`ShortestPath` operator.
 
-    For a ``rel_index`` start the seek already binds the first
-    relationship and both its endpoints, so the chain resumes after them.
+    For a ``rel_index`` or ``bound_rel`` start the start already binds the
+    first relationship and both its endpoints, so the chain resumes after
+    them.
     """
     if pattern is not None and getattr(pattern, "shortest", None) is not None:
         source, rel, target = elements
@@ -484,8 +495,8 @@ def physical_chain(
     operators: list[PatternOperator] = [start]
     estimate = start.estimated_rows
     first_hop = 1
-    if start.kind == REL_INDEX:
-        # elements[0]/[1]/[2] are bound by the seek itself; account for the
+    if start.kind in (REL_INDEX, BOUND_REL):
+        # elements[0]/[1]/[2] are bound by the start itself; account for the
         # endpoint label filters, then continue expanding from elements[3].
         for node in (elements[0], elements[2]):
             if node.labels:

@@ -16,23 +16,38 @@ Two things live here:
 
   - ``IndexSeek`` — an equality probe into an exact-match or ordered
     property index, derived from inline property maps
-    ``(n:Label {k: v})`` and from sargable ``WHERE n.k =
-    <literal/parameter>`` conjuncts — or an IN-list probe from
-    ``WHERE n.k IN [...]``;
+    ``(n:Label {k: v})`` and from sargable ``WHERE n.k = v`` conjuncts,
+    where ``v`` is a literal, a parameter, or a variable bound before the
+    clause (or a property-access chain on one, ``row.station``) — or an
+    IN-list probe from ``WHERE n.k IN [...]``;
   - ``IndexRangeSeek`` — a sorted-index range seek over an ordered
     (range) index, fed by sargable ``<``/``<=``/``>``/``>=`` conjuncts;
   - ``RelIndexSeek`` — an equality probe into a relationship-property
     index, matching the pattern outward from the seeked relationships;
+  - ``BoundRelationship`` — the relationship the row already binds to the
+    pattern's first hop (or, for a reversible pattern, its last hop),
+    matched outward the same way;
   - ``VirtualLabelScan`` — a virtual-label id set (the trigger engine's
     transition variables such as ``NEWNODES``);
   - ``LabelScan`` — a label-index scan over the most selective label;
   - ``AllNodesScan`` — a full node scan.
 
   When the cheapest entry point is the *last* node of a path — or that
-  node is already bound, by an earlier clause or an earlier join step,
-  while the first is not — the planner re-orders the pattern start point
-  by reversing the element sequence (flipping relationship directions),
-  which preserves the produced bindings exactly.
+  node is already bound, by an earlier clause, an earlier join step or
+  the statement's initial row, while the first is not — the planner
+  re-orders the pattern start point by reversing the element sequence
+  (flipping relationship directions), which preserves the produced
+  bindings exactly.
+
+  What is bound when a pattern runs is the planner's :class:`Scope`: the
+  names bound, those certain to hold a live node, and those certain to
+  hold a live relationship.  The executor derives the statement's
+  initial scope from its initial rows (a trigger's ``NEW``/``OLD``, the
+  batched tier's per-activation rows, ``bindings=``), and the planner
+  advances it clause by clause.  The patterns of an ``EXISTS`` in a
+  MATCH or WITH ``WHERE`` are planned against the scope after their
+  clause, so a subquery like ``EXISTS { MATCH (:C)-[:R]-(s) }`` starts
+  at the bound ``s``.
 
   On top of the per-pattern access paths, the planner performs
   **cost-based join ordering** for multi-pattern MATCH clauses
@@ -62,7 +77,7 @@ Two things live here:
 * **The plan cache** — :class:`PlanCache`, a module-level LRU shared by
   the executor, the trigger engine, the APOC/Memgraph emulation layers
   and the benchmark harness.  Parses are cached by query text; plans are
-  cached by ``(text, graph identity, virtual-label names)`` and checked
+  cached by ``(text, graph identity, virtual-label names, scope)`` and checked
   against the graph's *index epoch* (bumped whenever a property index is
   created or dropped), so index DDL and virtual-label changes invalidate
   stale plans.  Plans store virtual-label *names* only — the id sets are
@@ -79,7 +94,7 @@ import threading
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, replace as _dc_replace
-from typing import Callable, Collection, Iterable, Iterator, Optional, Union
+from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Optional, Union
 
 from ..graph.statistics import (
     DEFAULT_SELECTIVITY,
@@ -118,6 +133,7 @@ from .functions import is_aggregate_function
 from .lexer import Token, tokenize
 from .parser import parse_expression, parse_query
 from .physical import (
+    BOUND_REL,
     COMPOSITE,
     IN_LIST,
     INDEX,
@@ -146,6 +162,24 @@ _format_rows = format_rows
 # ---------------------------------------------------------------------------
 # plan data model
 # ---------------------------------------------------------------------------
+
+
+class Scope(NamedTuple):
+    """What is already bound when a statement starts, as the planner sees it.
+
+    ``bound`` holds the names present in every initial row; ``nodes`` those
+    of them holding a live node in every row, ``relationships`` those
+    holding a live relationship in every row.  Part of the plan-cache key:
+    a different scope is a different plan.
+    """
+
+    bound: frozenset = frozenset()
+    nodes: frozenset = frozenset()
+    relationships: frozenset = frozenset()
+
+
+#: The scope of a statement that starts from one empty row.
+EMPTY_SCOPE = Scope()
 
 
 @dataclass(frozen=True)
@@ -267,6 +301,8 @@ class QueryPlan:
     __slots__ = (
         "query",
         "_by_pattern",
+        "_clause_plans",
+        "_exists_plans",
         "_by_clause",
         "_by_projection",
         "_lines",
@@ -281,15 +317,21 @@ class QueryPlan:
         join_orders: Iterable[JoinOrder] = (),
         projection_plans: Iterable[ProjectionPlan] = (),
         filters: Iterable[Filter] = (),
+        exists_plans: Iterable[PatternPlan] = (),
     ) -> None:
         self.query = query
         self._by_pattern: dict[int, PatternPlan] = {}
         self._by_clause: dict[int, JoinOrder] = {}
         self._by_projection: dict[int, ProjectionPlan] = {}
         self._lines: list[str] = []
-        for plan in pattern_plans:
+        self._clause_plans = list(pattern_plans)
+        self._exists_plans = list(exists_plans)
+        for plan in self._clause_plans:
             self._by_pattern[id(plan.pattern)] = plan
             self._lines.append(plan.describe())
+        for plan in self._exists_plans:
+            self._by_pattern[id(plan.pattern)] = plan
+            self._lines.append("EXISTS " + plan.describe())
         for filter_op in filters:
             self._lines.append(filter_op.describe())
         for join_order in join_orders:
@@ -330,8 +372,12 @@ class QueryPlan:
         return None
 
     def pattern_plans(self) -> list[PatternPlan]:
-        """All pattern plans, in clause order."""
-        return list(self._by_pattern.values())
+        """All MATCH/MERGE pattern plans, in clause order."""
+        return list(self._clause_plans)
+
+    def exists_plans(self) -> list[PatternPlan]:
+        """The plans of EXISTS-subquery patterns in MATCH/WITH ``WHERE``s."""
+        return list(self._exists_plans)
 
     def join_orders(self) -> list[JoinOrder]:
         """All multi-pattern join orders, in clause order."""
@@ -402,6 +448,7 @@ def plan_query(
     query: Query,
     graph,
     virtual_labels: Iterable[str] = (),
+    scope: Scope = EMPTY_SCOPE,
 ) -> QueryPlan:
     """Lower every clause of ``query`` into physical operators.
 
@@ -410,20 +457,23 @@ def plan_query(
     ``count_nodes_with_label()``, ``node_count()``); richer surfaces
     (``range_indexes()``, ``relationship_property_indexes()``,
     ``property_index_selectivity()``, …) unlock more operators and sharpen
-    the cardinality estimates when present.
+    the cardinality estimates when present.  ``scope`` is what the
+    statement's initial rows already bind (see :class:`Scope`).
     """
     virtual = frozenset(virtual_labels)
     indexes = _graph_indexes(graph)
     estimator = CardinalityEstimator(graph)
     plans: list[PatternPlan] = []
+    exists_plans: list[PatternPlan] = []
     join_orders: list[JoinOrder] = []
     projections: list[ProjectionPlan] = []
     filters: list[Filter] = []
-    bound: set[str] = set()
-    nodes: set[str] = set()
+    bound = set(scope.bound)
+    nodes = set(scope.nodes)
+    rels = set(scope.relationships)
     for clause in query.clauses:
         if isinstance(clause, MatchClause):
-            sargable = _sargable_predicates(clause.where)
+            sargable = _sargable_predicates(clause.where, bound)
             # A pattern reading a variable that nothing before it binds
             # (``(e:B {v: a.v})`` with ``a`` from a sibling) raises when
             # reached — and whether it is *reached* depends on how many
@@ -442,7 +492,7 @@ def plan_query(
             def plan_at(index: int, bound: set[str], nodes: set[str]) -> PatternPlan:
                 plan = _plan_pattern(
                     clause.patterns[index], sargable, graph, virtual, indexes, estimator,
-                    not any(external), bound, nodes,
+                    not any(external), bound, nodes, rels,
                 )
                 return plan if clause.where is None else _with_filtered_rows(plan, clause.where)
 
@@ -459,16 +509,70 @@ def plan_query(
             # only inline property maps are sargable here (no WHERE).
             plans.append(
                 _plan_pattern(
-                    clause.pattern, _SargablePredicates(), graph, virtual, indexes, estimator
+                    clause.pattern, _SargablePredicates(outer=frozenset(bound)),
+                    graph, virtual, indexes, estimator,
                 )
             )
         elif isinstance(clause, (WithClause, ReturnClause)):
             projections.append(_plan_projection(clause))
-        bound, nodes = _advance_bound_variables(clause, bound, nodes)
+        bound, nodes, rels = _advance_bound_variables(clause, bound, nodes, rels)
+        if isinstance(clause, (MatchClause, WithClause)) and clause.where is not None:
+            exists_plans.extend(
+                _plan_exists(
+                    clause.where, graph, virtual, indexes, estimator, bound, nodes, rels
+                )
+            )
     plans, projections = _apply_ordered_scan(
         query, graph, virtual, indexes, plans, projections
     )
-    return QueryPlan(query, plans, join_orders, projections, filters)
+    return QueryPlan(query, plans, join_orders, projections, filters, exists_plans)
+
+
+def _plan_exists(
+    where: Expression,
+    graph,
+    virtual: frozenset,
+    indexes: _Indexes,
+    estimator: CardinalityEstimator,
+    bound: set[str],
+    nodes: set[str],
+    rels: set[str],
+) -> list[PatternPlan]:
+    """Plans for the patterns of every EXISTS in a clause's ``WHERE``.
+
+    The WHERE runs on the clause's output rows, so the patterns are planned
+    against the scope *after* the clause.  They run in written order (the
+    executor nests them), so each pattern also sees the variables of the
+    ones before it.  As in MATCH, one pattern reading a variable that
+    nothing before it binds makes the whole subquery unseeked.  An EXISTS
+    nested in another's WHERE is planned against the same outer scope,
+    which only under-approximates what it sees.
+    """
+    plans: list[PatternPlan] = []
+    for exists in walk_expression(where):
+        if not isinstance(exists, ExistsPattern):
+            continue
+        available = set(bound)
+        external = False
+        for pattern in exists.patterns:
+            external = external or _pattern_has_external_reads(pattern, available)
+            available |= _pattern_variable_names(pattern)
+        sargable = (
+            _SargablePredicates()
+            if external
+            else _sargable_predicates(exists.where, bound)
+        )
+        seen, anchors = set(bound), set(nodes)
+        for pattern in exists.patterns:
+            plans.append(
+                _plan_pattern(
+                    pattern, sargable, graph, virtual, indexes, estimator,
+                    not external, seen, anchors, rels,
+                )
+            )
+            anchors |= _node_variable_names(pattern) - seen
+            seen |= _pattern_variable_names(pattern)
+    return plans
 
 
 def explain(text: str, graph, virtual_labels: Iterable[str] = ()) -> str:
@@ -488,6 +592,7 @@ def _plan_pattern(
     allow_index: bool = True,
     bound: Collection[str] = frozenset(),
     nodes: Collection[str] = frozenset(),
+    rels: Collection[str] = frozenset(),
 ) -> PatternPlan:
     if not allow_index:
         # Scans-only planning for clauses with evaluation-order-dependent
@@ -544,6 +649,14 @@ def _plan_pattern(
         chosen_elements = pattern.elements
         chosen_path = rel_path
         is_reversed = False
+    # A first hop the row already binds to a relationship is one candidate
+    # that pins three elements at once: nothing starts cheaper.  Like a
+    # seek it narrows which candidates evaluate the element property maps,
+    # so the scans-only planning above rules it out too.
+    if allow_index and rels and pattern.shortest is None:
+        anchored = _bound_relationship_start(pattern, rels, can_reverse)
+        if anchored is not None:
+            chosen_elements, chosen_path, is_reversed = anchored
     physical, estimated = physical_chain(
         chosen_path,
         chosen_elements,
@@ -560,6 +673,31 @@ def _plan_pattern(
         estimated_rows=estimated,
         physical=physical,
     )
+
+
+def _bound_relationship_start(
+    pattern: PathPattern, rels: Collection[str], can_reverse: bool
+) -> Optional[tuple[tuple, AccessPath, bool]]:
+    """``(elements, BoundRelationship start, reversed)`` when the pattern's
+    first hop — or, for a reversible pattern, its last — is a fixed-length
+    relationship variable the row binds to a live relationship."""
+    elements = pattern.elements
+    if len(elements) < 3:
+        return None
+    for hop, is_reversed in ((elements[1], False), (elements[-2], True)):
+        assert isinstance(hop, RelationshipPattern)
+        if is_reversed and not can_reverse:
+            break
+        if hop.variable in rels and not hop.is_variable_length:
+            chosen = _reverse_elements(elements) if is_reversed else elements
+            start = AccessPath(
+                kind=BOUND_REL,
+                value=Variable(name=hop.variable),
+                direction=chosen[1].direction,
+                estimated_rows=1.0,
+            )
+            return chosen, start, is_reversed
+    return None
 
 
 def _access_path(
@@ -1035,35 +1173,38 @@ def _pattern_has_external_reads(pattern: PathPattern, bound_before: set[str]) ->
 
 
 def _advance_bound_variables(
-    clause, bound: set[str], nodes: set[str]
-) -> tuple[set[str], set[str]]:
-    """Variables visible after ``clause``, and those of them certain to
-    hold an existing node or null, given both sets before it.
+    clause, bound: set[str], nodes: set[str], rels: set[str]
+) -> tuple[set[str], set[str], set[str]]:
+    """Variables visible after ``clause``; those of them certain to hold an
+    existing node or null; those certain to hold an existing relationship
+    or null — given all three sets before it.
 
-    The first set only informs join ordering (a bound start variable makes
-    a pattern near-free), so over- or under-approximating it affects plan
-    quality, never results.  The second lets a pattern start from its bound
-    end (:func:`_plan_pattern`), so it never over-approximates: a start at
-    a non-node raises, and one at a deleted node cannot expand, where the
-    written start filtered.  Only MATCH adds to it, the node variables it
-    binds first (a name bound earlier keeps its value through OPTIONAL
-    MATCH padding); WITH keeps those it passes on unchanged; any other
-    clause clears it.
+    The first set informs join ordering (a bound start variable makes a
+    pattern near-free) and which values may feed a seek; reading a name
+    that turns out unbound only makes the seek fall back to a scan.  The
+    second lets a pattern start from its bound end (:func:`_plan_pattern`),
+    so it never over-approximates: a start at a non-node raises, and one
+    at a deleted node cannot expand, where the written start filtered.
+    Only MATCH adds to it, the node variables it binds first (a name bound
+    earlier keeps its value through OPTIONAL MATCH padding); WITH keeps
+    those it passes on unchanged; any other clause clears it.  The third,
+    seeded only by the initial rows, lets a pattern start at its bound
+    first hop; MATCH and WITH keep it as they keep the second.
     """
     if isinstance(clause, (MatchClause, CreateClause)):
         out = set(bound)
         for pattern in clause.patterns:
             out |= _pattern_variable_names(pattern)
         if isinstance(clause, CreateClause):
-            return out, set()
+            return out, set(), set()
         names = {name for pattern in clause.patterns for name in _node_variable_names(pattern)}
-        return out, nodes | (names - bound)
+        return out, nodes | (names - bound), rels
     if isinstance(clause, MergeClause):
-        return bound | _pattern_variable_names(clause.pattern), set()
+        return bound | _pattern_variable_names(clause.pattern), set(), set()
     if isinstance(clause, UnwindClause):
-        return bound | {clause.variable}, set()
+        return bound | {clause.variable}, set(), set()
     if isinstance(clause, CallClause):
-        return bound | {alias for _, alias in clause.yield_items}, set()
+        return bound | {alias for _, alias in clause.yield_items}, set(), set()
     if isinstance(clause, (WithClause, ReturnClause)):
         names = {item.output_name() for item in clause.items}
         kept = {
@@ -1072,10 +1213,11 @@ def _advance_bound_variables(
             if isinstance(item.expression, Variable) and item.expression.name == item.output_name()
         }
         if clause.include_wildcard:
-            return bound | names, nodes & (kept | (bound - names))
+            kept |= bound - names
+            return bound | names, nodes & kept, rels & kept
         # A projecting WITH narrows scope to exactly its output names.
-        return names, nodes & kept
-    return bound, set()
+        return names, nodes & kept, rels & kept
+    return bound, set(), set()
 
 
 def _node_variable_names(pattern: PathPattern) -> set[str]:
@@ -1085,6 +1227,23 @@ def _node_variable_names(pattern: PathPattern) -> set[str]:
         for element in pattern.elements
         if isinstance(element, NodePattern) and element.variable
     }
+
+
+def _seek_value(expr: Expression, outer: Collection[str]) -> bool:
+    """Can ``expr`` feed an equality seek, given the names bound before
+    the clause?
+
+    A literal, a parameter, a variable in ``outer``, or a property-access
+    chain on one of those (``row.station``, ``NEW.zone``).  A variable a
+    sibling pattern of the same clause binds does not qualify: the join
+    order may run this pattern first.  Evaluating the value may still
+    fail at run time (``row.k`` on an integer); the executor then scans.
+    """
+    while isinstance(expr, PropertyAccess):
+        expr = expr.subject
+    if isinstance(expr, Variable):
+        return expr.name in outer
+    return isinstance(expr, (Literal, Parameter))
 
 
 def _pattern_properties_static(pattern: PathPattern) -> bool:
@@ -1102,13 +1261,15 @@ def _equality_candidates(
 ) -> list[tuple[str, Expression]]:
     """(property, value-expression) pairs usable for an index lookup.
 
-    Only literal and parameter values qualify: they evaluate independently
-    of the other pattern variables, so narrowing the candidate set with
-    them can never drop a row the full match would have produced.
+    Literals, parameters, and variables bound before the clause (or
+    property-access chains on them) qualify — see :func:`_seek_value`.
+    They evaluate independently of the pattern's own variables, so
+    narrowing the candidate set with them can never drop a row the full
+    match would have produced.
     """
     pairs: list[tuple[str, Expression]] = []
     for key, expr in node_pattern.properties:
-        if isinstance(expr, (Literal, Parameter)):
+        if _seek_value(expr, sargable.outer):
             pairs.append((key, expr))
     if node_pattern.variable is not None:
         pairs.extend(sargable.equalities.get(node_pattern.variable, ()))
@@ -1139,13 +1300,17 @@ _FLIPPED_OPS = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
 class _SargablePredicates:
     """Per-variable sargable conjuncts extracted from one WHERE tree."""
 
-    #: var -> [(property, value expression)] from ``var.p = <lit/param>``.
+    #: var -> [(property, value expression)] from ``var.p = v``, ``v`` as
+    #: :func:`_seek_value` admits it.
     equalities: dict = None
     #: var -> {property: _RangeBounds} from ``var.p </<=/>/>= <lit/param>``.
     ranges: dict = None
     #: var -> [(property, list expression, element count or None)] from
     #: ``var.p IN <list>``; the count is None for parameters.
     in_lists: dict = None
+    #: Names bound before the clause: equality values (inline or WHERE)
+    #: may read them.
+    outer: frozenset = frozenset()
 
     def __post_init__(self) -> None:
         self.equalities = {} if self.equalities is None else self.equalities
@@ -1153,14 +1318,18 @@ class _SargablePredicates:
         self.in_lists = {} if self.in_lists is None else self.in_lists
 
 
-def _sargable_predicates(where: Optional[Expression]) -> _SargablePredicates:
+def _sargable_predicates(
+    where: Optional[Expression], outer: Collection[str] = frozenset()
+) -> _SargablePredicates:
     """Extract equality, range and IN-list conjuncts usable by index seeks.
 
     Only top-level AND conjuncts qualify (an OR branch cannot narrow the
-    candidate set safely), and only literal/parameter comparands (anything
-    else may read other pattern variables).
+    candidate set safely).  Range and IN comparands must be literals or
+    parameters; equality comparands may also read ``outer``, the names
+    bound before the clause (:func:`_seek_value`).  Anything else may read
+    the clause's own pattern variables.
     """
-    result = _SargablePredicates()
+    result = _SargablePredicates(outer=frozenset(outer))
     if where is None:
         return result
     for conjunct in _conjuncts(where):
@@ -1171,7 +1340,7 @@ def _sargable_predicates(where: Optional[Expression]) -> _SargablePredicates:
                 (conjunct.left, conjunct.right),
                 (conjunct.right, conjunct.left),
             ):
-                if _is_sargable_access(access) and isinstance(value, (Literal, Parameter)):
+                if _is_sargable_access(access) and _seek_value(value, result.outer):
                     result.equalities.setdefault(access.subject.name, []).append(
                         (access.key, value)
                     )
@@ -1502,9 +1671,10 @@ class PlanCache:
     Three layers, all keyed on query text:
 
     * parses (graph-independent);
-    * plans, additionally keyed on the graph's identity token and the
-      executor's virtual-label *names*, validated against the graph's
-      index epoch on every hit;
+    * plans, additionally keyed on the graph's identity token, the
+      executor's virtual-label *names* and the statement's initial
+      :class:`Scope`, validated against the graph's index epoch on every
+      hit;
     * trigger conditions (expression-or-query, with the trigger engine's
       wildcard-RETURN normalisation applied to query-shaped conditions).
     """
@@ -1554,16 +1724,18 @@ class PlanCache:
         text: str,
         graph,
         virtual_label_names: frozenset = frozenset(),
+        scope: Scope = EMPTY_SCOPE,
     ) -> tuple[Query, QueryPlan]:
         """Parse and plan ``text`` for ``graph`` (both cached).
 
         A cached plan is reused only while the graph's index epoch is
         unchanged; creating or dropping a property index bumps the epoch
         and evicts the stale entry on the next lookup.  Virtual-label
-        names participate in the key, so registering a new virtual label
-        re-plans rather than reusing a plan that ignored it.
+        names and the initial scope participate in the key, so registering
+        a new virtual label, or binding a different set of names, re-plans
+        rather than reusing a plan that ignored it.
         """
-        key = (text, _graph_token(graph), virtual_label_names)
+        key = (text, _graph_token(graph), virtual_label_names, scope)
         epoch = _graph_epoch(graph)
         with self._lock:
             entry = self._plans.get(key)
@@ -1575,7 +1747,7 @@ class PlanCache:
                 del self._plans[key]
                 self.stats.plan_invalidations += 1
         query = self.parse(text)
-        plan = plan_query(query, graph, virtual_label_names)
+        plan = plan_query(query, graph, virtual_label_names, scope)
         with self._lock:
             self.stats.plan_misses += 1
             self._insert(self._plans, key, _PlanEntry(epoch=epoch, query=query, plan=plan))
@@ -1586,8 +1758,9 @@ class PlanCache:
         query: Query,
         graph,
         virtual_label_names: frozenset = frozenset(),
+        scope: Scope = EMPTY_SCOPE,
     ) -> QueryPlan:
-        """Plan an already-parsed query (cached by object identity).
+        """Plan an already-parsed query (cached by object identity and scope).
 
         Used for query objects that live outside the text cache, e.g. the
         trigger engine's compiled condition queries, which are executed once
@@ -1595,7 +1768,7 @@ class PlanCache:
         The entry keeps a reference to ``query``, so the id()-based key can
         never alias a different, later object.
         """
-        key = (id(query), _graph_token(graph), virtual_label_names)
+        key = (id(query), _graph_token(graph), virtual_label_names, scope)
         epoch = _graph_epoch(graph)
         with self._lock:
             entry = self._parsed_plans.get(key)
@@ -1606,7 +1779,7 @@ class PlanCache:
                     return entry.plan
                 del self._parsed_plans[key]
                 self.stats.plan_invalidations += 1
-        plan = plan_query(query, graph, virtual_label_names)
+        plan = plan_query(query, graph, virtual_label_names, scope)
         with self._lock:
             self.stats.plan_misses += 1
             self._insert(

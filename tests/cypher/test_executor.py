@@ -194,6 +194,19 @@ class TestMatch:
         assert names == {("Sacco", "Meyer"), ("Meyer", "Sacco")}
         assert sacco.id != meyer.id
 
+    def test_node_variable_bound_to_null_matches_nothing(self, hospital_graph):
+        for query in (
+            "WITH null AS n MATCH (n:Hospital) RETURN count(*) AS c",
+            "OPTIONAL MATCH (x:Nope) MATCH (x)-[:TreatedAt]->(b) RETURN count(*) AS c",
+            "OPTIONAL MATCH (x:Nope) MATCH (p:Patient)-[:TreatedAt]->(x) RETURN count(*) AS c",
+        ):
+            assert execute(hospital_graph, query).single("c") == 0, query
+        executor = QueryExecutor(hospital_graph)
+        rows = executor.execute(
+            "MATCH (OLD)-[:TreatedAt]->(h) RETURN h", bindings={"OLD": None}
+        ).rows
+        assert rows == []
+
     def test_virtual_labels(self, hospital_graph):
         patients = hospital_graph.find_nodes("Patient")
         chosen = {patients[0].id, patients[1].id}

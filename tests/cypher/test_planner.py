@@ -14,6 +14,7 @@ from repro.cypher import QueryExecutor, execute, explain, plan_query, parse_quer
 from repro.cypher.planner import INDEX, LABEL, SCAN, VIRTUAL
 from repro.graph.model import Node, Relationship
 from repro.graph.store import PropertyGraph
+from repro.tx import Transaction
 
 
 def build_graph() -> PropertyGraph:
@@ -73,6 +74,25 @@ EQUIVALENCE_CORPUS = [
     (
         "MATCH (a:Person)-[r:KNOWS {since: 30}]->(b:Person {name: 'bob'}) "
         "RETURN a.name AS name",
+        None,
+    ),
+    # Values bound before the clause seek too: a null or a missing key
+    # falls back to the scan, where an inline null matches *missing*.
+    (
+        "UNWIND $rows AS row MATCH (p:Person {name: row.n}) RETURN p.name AS name",
+        {"rows": [{"n": "alice"}, {"n": None}, {}, {"n": "nobody"}]},
+    ),
+    (
+        "UNWIND $rows AS row MATCH (p:Person {nickname: row.n}) RETURN p.name AS name",
+        {"rows": [{"n": None}, {"n": "caz"}]},
+    ),
+    (
+        "UNWIND $names AS n MATCH (p:Person) WHERE p.name = n RETURN p.age AS age",
+        {"names": ["bob", None, ["bob"], "erin"]},
+    ),
+    (
+        "MATCH (a:Person {name: 'dave'}) WITH a "
+        "MATCH (p:Person {age: a.age})-[:KNOWS]->(q) RETURN p.name AS name",
         None,
     ),
 ]
@@ -148,6 +168,41 @@ class TestIndexEquivalence:
 
 
 class TestAccessPathChoice:
+    def test_values_bound_before_the_clause_drive_seeks(self):
+        graph = build_graph()
+        graph.create_property_index("Person", "name")
+        for query in (
+            "UNWIND $rows AS row MATCH (p:Person {name: row.n}) RETURN p",
+            "UNWIND $rows AS row MATCH (p:Person) WHERE p.name = row.n RETURN p",
+            "UNWIND $names AS n MATCH (p:Person {name: n}) RETURN p",
+        ):
+            [pattern_plan] = plan_query(parse_query(query), graph).pattern_plans()
+            assert pattern_plan.start.kind == INDEX, query
+        rows = execute(
+            graph,
+            "UNWIND $rows AS row MATCH (p:Person {name: row.n}) RETURN p.age AS age",
+            parameters={"rows": [{"n": "bob"}, {"n": "carol"}]},
+        ).rows
+        assert rows == [{"age": 40}, {"age": 30}]
+
+    def test_sibling_pattern_variables_do_not_drive_seeks(self):
+        # The join order may run `b` first, before `a` holds a value.
+        graph = build_graph()
+        graph.create_property_index("Person", "name")
+        query = "MATCH (a:City), (b:Person) WHERE b.name = a.name RETURN b"
+        plans = plan_query(parse_query(query), graph).pattern_plans()
+        assert all(plan.start.kind != INDEX for plan in plans)
+
+    def test_failing_bound_value_falls_back_to_the_scan(self):
+        # `row.station` on an integer raises; with no :Empty node the scan
+        # never evaluates it, so the seek must not raise either.
+        query = "UNWIND [1] AS row MATCH (s:Empty {id: row.station}) RETURN s"
+        graph = PropertyGraph()
+        assert execute(graph, query).rows == []
+        graph.create_property_index("Empty", "id")
+        assert "IndexSeek(Empty.id = row.station)" in explain(query, graph)
+        assert execute(graph, query).rows == []
+
     def test_inline_map_uses_property_index(self):
         graph = build_graph()
         graph.create_property_index("Person", "name")
@@ -436,6 +491,74 @@ class TestBoundEndAnchoring:
             {}, {"join_ordering": False}, {"eager": True}, {"naive_paths": True}
         )]
         assert rows[0] == rows[1] == rows[2] == rows[3]
+
+    def test_initial_row_node_anchors_the_pattern_start(self):
+        graph = build_graph()
+        carol = graph.find_nodes("Person", {"name": "carol"})[0]
+        query = "MATCH (p:Person)-[:KNOWS]->(c) RETURN p.name AS name"
+        executor = QueryExecutor(graph)
+        rows = executor.execute(query, bindings={"c": carol}).rows
+        assert sorted(row["name"] for row in rows) == ["bob", "dave"]
+        assert executor.last_plan.plan_description().startswith("start=(c) ")
+        # the same text without the binding is planned (and cached) apart
+        executor.execute(query)
+        assert executor.last_plan.plan_description().startswith("start=(p) ")
+
+    @pytest.mark.parametrize("binding", ["deleted", "null", "relationship"])
+    def test_initial_row_values_that_are_not_live_nodes_do_not_anchor(self, binding):
+        graph = build_graph()
+        tx = Transaction(graph)
+        carol = graph.find_nodes("Person", {"name": "carol"})[0]
+        value = {
+            "deleted": carol,
+            "null": None,
+            "relationship": graph.relationships_with_type("KNOWS")[0],
+        }[binding]
+        if binding == "deleted":
+            QueryExecutor(graph, transaction=tx).execute(
+                "MATCH (c:Person {name: 'carol'}) DETACH DELETE c"
+            )
+        executor = QueryExecutor(graph, transaction=tx)
+        query = "MATCH (p:Person)-[:KNOWS]->(c) RETURN p.name AS name"
+        assert executor.execute(query, bindings={"c": value}).rows == []
+        assert executor.last_plan.plan_description().startswith("start=(p) ")
+
+    def test_initial_row_relationship_anchors_the_first_hop(self):
+        graph = build_graph()
+        knows = graph.relationships_with_type("KNOWS")[0]  # alice -> bob
+        executor = QueryExecutor(graph)
+        for query in (
+            "MATCH (a:Person)-[r]->(b:Person) RETURN a.name AS a, b.name AS b",
+            # reversible: the bound last hop is reached by reversing
+            "MATCH (x:Person)-[:KNOWS]->(a:Person)-[r]->(b:Person) "
+            "RETURN a.name AS a, b.name AS b",
+        ):
+            rows = executor.execute(query, bindings={"r": knows}).rows
+            assert [(row["a"], row["b"]) for row in rows] == [("alice", "bob")]
+            first = executor.last_plan.pattern_plans()[0]
+            assert first.start.describe().startswith("BoundRelationship(r)"), query
+        rows = executor.execute(
+            "MATCH (a:Person)-[r]-(b:Person) RETURN a.name AS a, b.name AS b",
+            bindings={"r": knows},
+        ).rows
+        assert sorted((row["a"], row["b"]) for row in rows) == [
+            ("alice", "bob"), ("bob", "alice"),
+        ]
+
+    def test_exists_subquery_is_planned_in_the_scope_after_its_clause(self):
+        graph = build_graph()
+        for query in (
+            "MATCH (c:Person) WHERE EXISTS { MATCH (p:Person {age: 40})-[:KNOWS]->(c) } "
+            "RETURN c.name AS name",
+            "MATCH (c:Person) WITH c WHERE EXISTS { MATCH (p:Person {age: 40})-[:KNOWS]->(c) } "
+            "RETURN c.name AS name",
+        ):
+            plan = plan_query(parse_query(query), graph)
+            [exists] = plan.exists_plans()
+            assert exists.reversed and exists.elements[0].variable == "c"
+            assert "EXISTS start=(c) " in plan.plan_description()
+            rows = execute(graph, query).rows
+            assert sorted(row["name"] for row in rows) == ["alice", "carol"]
 
     def test_eligible_pattern_starts_at_its_bound_end(self):
         graph = build_graph()

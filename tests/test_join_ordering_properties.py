@@ -134,20 +134,39 @@ def canonical(value):
     return value
 
 
-def sorted_rows(executor: QueryExecutor, query: str):
-    result = executor.execute(query)
+def sorted_rows(executor: QueryExecutor, query: str, parameters=None):
+    result = executor.execute(query, parameters)
     return sorted(
         (tuple(sorted((k, canonical(v)) for k, v in row.items())) for row in result.rows),
         key=repr,
     )
 
 
-def outcome(executor: QueryExecutor, query: str):
+def outcome(executor: QueryExecutor, query: str, parameters=None):
     """Sorted rows, or the error type — errors must also be order-independent."""
     try:
-        return sorted_rows(executor, query)
+        return sorted_rows(executor, query, parameters)
     except CypherError as exc:
         return ("error", type(exc).__name__)
+
+
+#: Seeks on a value bound before the clause: inline, through a property
+#: access chain, and as a WHERE equality.
+BOUND_VALUE_TEMPLATES = [
+    "UNWIND $vals AS v MATCH (n:A {v: v}) RETURN n",
+    "UNWIND $vals AS v MATCH (n:B {v: v.k}) RETURN n",
+    "UNWIND $vals AS v MATCH (n:C) WHERE n.v = v.k RETURN n",
+    "UNWIND $vals AS v MATCH (n:A {v: v.k})-[:R]->(m:B) RETURN n, m",
+    "UNWIND $vals AS v MATCH (m:B), (n:A) WHERE n.v = v AND m.v = n.v RETURN n, m",
+]
+
+small_ints = st.integers(min_value=0, max_value=3)
+bound_values = st.one_of(
+    small_ints,
+    st.none(),
+    st.fixed_dictionaries({}, optional={"k": st.one_of(small_ints, st.none())}),
+    st.lists(small_ints, max_size=2),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +196,17 @@ class TestJoinOrderingDifferential:
         plain = outcome(QueryExecutor(build_graph(nodes, rels, False)), query)
         indexed = outcome(QueryExecutor(build_graph(nodes, rels, True)), query)
         assert plain == indexed
+
+    @given(nodes=node_specs, rels=rel_specs, template=st.sampled_from(BOUND_VALUE_TEMPLATES),
+           values=st.lists(bound_values, min_size=1, max_size=3))
+    @settings(max_examples=150, deadline=None)
+    def test_indexes_do_not_change_bound_value_seeks(self, nodes, rels, template, values):
+        # A value an earlier clause bound drives an index seek; whatever it
+        # holds (int, map, null, list), the seek falls back to the scan
+        # wherever it cannot answer exactly as the scan would.
+        plain = outcome(QueryExecutor(build_graph(nodes, rels, False)), template, {"vals": values})
+        indexed = outcome(QueryExecutor(build_graph(nodes, rels, True)), template, {"vals": values})
+        assert plain == indexed, template
 
     @given(nodes=node_specs, rels=rel_specs, choices=pattern_choices)
     @settings(max_examples=60, deadline=None)
@@ -233,11 +263,17 @@ end_bound_choices = st.lists(
 
 
 def unanchored_outcome(graph, prefix: str, match: str):
-    """The prefix's rows fed to ``match`` as initial bindings, which the
-    planner cannot see: the reference run without bound-end starts."""
+    """The prefix's rows fed to ``match`` through UNWIND and a renaming
+    WITH, which bind the same values but anchor nothing: the reference run
+    without bound-end starts.  (Initial bindings would anchor: the planner
+    sees what the initial rows bind.)"""
     try:
         rows = QueryExecutor(graph).execute(prefix + "RETURN *").rows
-        _, records = QueryExecutor(graph).stream_batch(match, rows)
+        names = sorted({name for row in rows for name in row})
+        feed = "UNWIND $rows AS prefix_row "
+        if names:
+            feed += "WITH " + ", ".join(f"prefix_row.{name} AS {name}" for name in names) + " "
+        records = QueryExecutor(graph).execute(feed + match, {"rows": rows}).rows
         return sorted(
             (tuple(sorted((k, canonical(v)) for k, v in row.items())) for row in records),
             key=repr,
