@@ -307,6 +307,8 @@ class QueryExecutor:
             self._plan = PLAN_CACHE.get_for_parsed(
                 query, self.graph, frozenset(self.virtual_labels), scope
             )
+        # Dependencies include what each pattern's planned start reads.
+        self._match_deps.clear()
         if parameters:
             self.parameters.update(parameters)
         self.last_statistics = QueryStatistics()
@@ -633,16 +635,18 @@ class QueryExecutor:
         A disconnected pattern reads nothing from its sibling patterns (the
         planner declines clauses with cross-pattern property reads), so its
         extensions depend only on its dependency bindings — outer-clause
-        variables referenced by its property maps.  The cache key pins
-        those bindings by identity, exactly like the cross-row match memo,
-        so two partial rows agreeing on them share one build.
+        variables referenced by its property maps or by the value its
+        planned start seeks on.  The cache key pins those bindings by
+        identity, exactly like the cross-row match memo, so two partial
+        rows agreeing on them share one build.
         """
         if isinstance(operator, HashJoin) and operator.join_variables:
             # A *connected* join builds the pattern unbound: its property
-            # maps are static (the planner requires it) and the probe row
-            # binds no pattern variable beyond the join keys (the runtime
-            # guard checked), so the build depends on nothing from the row
-            # and a single table serves the whole MATCH stage.
+            # maps are static and its start seeks on no row value (the
+            # planner requires both), and the probe row binds no pattern
+            # variable beyond the join keys (the runtime guard checked), so
+            # the build depends on nothing from the row and a single table
+            # serves the whole MATCH stage.
             key = (id(pattern),)
             table = join_state.get(key)
             if table is None:
@@ -680,10 +684,11 @@ class QueryExecutor:
         """Cross-row memoization of pattern extensions (batched passes only).
 
         A pattern reads a fixed set of row bindings — its element
-        variables plus whatever its property expressions reference
-        (:meth:`_pattern_dependencies`).  Two input rows agreeing on those
-        bindings therefore produce the same extensions, differing only in
-        the untouched pass-through variables; the first row's extension
+        variables plus whatever its property expressions and its planned
+        start's seek value reference (:meth:`_pattern_dependencies`).  Two
+        input rows agreeing on those bindings therefore produce the same
+        extensions, differing only in the untouched pass-through
+        variables; the first row's extension
         *deltas* are cached (filled lazily, so EXISTS early-exit keeps
         paying only for what it pulls) and replayed onto later rows.
 
@@ -743,7 +748,13 @@ class QueryExecutor:
         return [row.get(name) for name in self._pattern_dependencies(pattern)]
 
     def _pattern_dependencies(self, pattern: PathPattern) -> tuple[str, ...]:
-        """Row variables whose bindings can influence matching ``pattern``."""
+        """Row variables whose bindings can influence matching ``pattern``.
+
+        Its element variables, what its property maps read, and what its
+        planned start reads: a seek whose value comes from a WHERE
+        equality (``s.id = NEW.station``) narrows the candidates by a row
+        value no property map names.
+        """
         dependencies = self._match_deps.get(id(pattern))
         if dependencies is None:
             names: set[str] = set()
@@ -752,6 +763,11 @@ class QueryExecutor:
                     names.add(element.variable)
                 for _, expr in element.properties:
                     names.update(expression_variable_names(expr))
+            pattern_plan = (
+                self._plan.for_pattern(pattern) if self._plan is not None else None
+            )
+            if pattern_plan is not None:
+                names.update(pattern_plan.start.reads())
             dependencies = tuple(sorted(names))
             self._match_deps[id(pattern)] = dependencies
         return dependencies

@@ -69,7 +69,13 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from ..paths.accelerator import reachability_applicable
-from .ast import Expression, NodePattern, RelationshipPattern, expression_text
+from .ast import (
+    Expression,
+    NodePattern,
+    RelationshipPattern,
+    expression_text,
+    expression_variable_names,
+)
 
 #: Access-path kinds, in decreasing priority.
 COMPOSITE = "composite"
@@ -136,6 +142,19 @@ class AccessPath:
     descending: bool = False
     #: Planner cardinality estimate for this operator's output.
     estimated_rows: float = 0.0
+
+    def reads(self) -> frozenset[str]:
+        """Row variables the start's value expressions read.
+
+        Empty for literal and parameter values.  Anything else makes the
+        start's candidates depend on the input row, so a cache of the
+        pattern's matches must key on these names too.
+        """
+        names: set[str] = set()
+        for expr in (self.value, self.lower, self.upper, *self.values):
+            if expr is not None:
+                names.update(expression_variable_names(expr))
+        return frozenset(names)
 
     def describe(self) -> str:
         """One-line human-readable rendering (used by EXPLAIN output)."""

@@ -1032,8 +1032,9 @@ def _connected_hash_join(
     node variables is cheaper.  Eligibility mirrors the executor's runtime
     guard: only node *element* variables may join (path and relationship
     variables have positional binding semantics a key cannot express), the
-    property maps must be static so the unbound build reads no row state,
-    and shortestPath is excluded (its search is anchored per source row).
+    property maps must be static and the start must seek on no row value
+    (``WHERE c.v = k``), so the unbound build reads no row state, and
+    shortestPath is excluded (its search is anchored per source row).
     The executor falls back to the nested loop for any probe row that does
     not bind every join variable to a node — so a wrong choice here can
     only cost performance, never rows.
@@ -1044,7 +1045,7 @@ def _connected_hash_join(
         return None
     if plan.elements[0].variable in shared:
         return None  # the nested loop starts bound — already near-free
-    if not _pattern_properties_static(plan.pattern):
+    if not _pattern_properties_static(plan.pattern) or plan.start.reads():
         return None
     build_cost = plan.estimated_rows
     if prior_rows * build_cost <= 2.0 * (build_cost + prior_rows):

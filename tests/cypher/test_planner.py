@@ -11,7 +11,7 @@ edge cases, OPTIONAL MATCH and pattern reversal.
 import pytest
 
 from repro.cypher import QueryExecutor, execute, explain, plan_query, parse_query
-from repro.cypher.planner import INDEX, LABEL, SCAN, VIRTUAL
+from repro.cypher.planner import INDEX, LABEL, SCAN, VIRTUAL, Scope, _connected_hash_join
 from repro.graph.model import Node, Relationship
 from repro.graph.store import PropertyGraph
 from repro.tx import Transaction
@@ -192,6 +192,52 @@ class TestAccessPathChoice:
         query = "MATCH (a:City), (b:Person) WHERE b.name = a.name RETURN b"
         plans = plan_query(parse_query(query), graph).pattern_plans()
         assert all(plan.start.kind != INDEX for plan in plans)
+
+    def test_row_dependent_seek_on_a_join_build_side_is_not_shared(self):
+        # `s` is joined second; its build table is filled by a seek on the
+        # row's value, so a table built for one row must not serve the next.
+        query = (
+            "UNWIND $rows AS row MATCH (c:Cfg {name: 'x'}), (s:Station) "
+            "WHERE s.zone = row.zone RETURN s.zone AS z"
+        )
+        parameters = {"rows": [{"zone": 0}, {"zone": 1}, {"zone": 2}]}
+        graph = PropertyGraph()
+        graph.create_node(["Cfg"], {"name": "x"})
+        for zone in range(3):
+            graph.create_node(["Station"], {"zone": zone})
+        assert execute(graph, query, parameters=parameters).rows == [
+            {"z": 0}, {"z": 1}, {"z": 2},
+        ]
+        graph.create_property_index("Station", "zone")
+        plan = explain(query, graph)
+        assert "IndexSeek(Station.zone = row.zone)" in plan
+        assert "HashJoin(pattern[1]" in plan
+        assert execute(graph, query, parameters=parameters).rows == [
+            {"z": 0}, {"z": 1}, {"z": 2},
+        ]
+        memoized = QueryExecutor(graph, memoize_match=True)
+        assert memoized.execute(
+            "UNWIND $rows AS row MATCH (s:Station) WHERE s.zone = row.zone "
+            "RETURN s.zone AS z",
+            parameters,
+        ).rows == [{"z": 0}, {"z": 1}, {"z": 2}]
+
+    def test_row_dependent_seek_declines_the_connected_hash_join(self):
+        # A connected hash join builds its pattern once, unbound; a start
+        # seeking on a row value cannot be built that way.
+        graph = build_graph()
+        graph.create_property_index("Person", "age")
+        query = "MATCH (a:City), (p:Person)-[:KNOWS]->(q) WHERE p.age = k RETURN q"
+        for scope, seeks_on_row in (
+            (Scope(bound=frozenset({"k"})), True),
+            (Scope(), False),
+        ):
+            text = query if seeks_on_row else query.replace("= k", "= 40")
+            plan = plan_query(parse_query(text), graph, scope=scope)
+            [seeked] = [p for p in plan.pattern_plans() if p.start.kind == INDEX]
+            assert bool(seeked.start.reads()) == seeks_on_row
+            operator = _connected_hash_join(seeked, 1, {"q"}, 1e6, 10.0)
+            assert (operator is None) == seeks_on_row
 
     def test_failing_bound_value_falls_back_to_the_scan(self):
         # `row.station` on an integer raises; with no :Empty node the scan

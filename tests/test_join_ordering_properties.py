@@ -160,6 +160,13 @@ BOUND_VALUE_TEMPLATES = [
     "UNWIND $vals AS v MATCH (m:B), (n:A) WHERE n.v = v AND m.v = n.v RETURN n, m",
 ]
 
+#: The seeked pattern joined second: its hash-join build side is filled by
+#: a seek on the row's value, so no row may reuse another row's build.
+BUILD_SIDE_SEEK_TEMPLATES = [
+    "UNWIND $vals AS v MATCH (m:B {v: 0}), (n:A) WHERE n.v = v RETURN n, m",
+    "UNWIND $vals AS v MATCH (m:B {v: 0}), (n:A) WHERE n.v = v.k RETURN n, m",
+]
+
 small_ints = st.integers(min_value=0, max_value=3)
 bound_values = st.one_of(
     small_ints,
@@ -206,6 +213,16 @@ class TestJoinOrderingDifferential:
         # wherever it cannot answer exactly as the scan would.
         plain = outcome(QueryExecutor(build_graph(nodes, rels, False)), template, {"vals": values})
         indexed = outcome(QueryExecutor(build_graph(nodes, rels, True)), template, {"vals": values})
+        assert plain == indexed, template
+
+    @given(nodes=node_specs, template=st.sampled_from(BUILD_SIDE_SEEK_TEMPLATES),
+           values=st.lists(st.one_of(small_ints, st.fixed_dictionaries({"k": small_ints})),
+                           min_size=2, max_size=4))
+    @settings(max_examples=100, deadline=None)
+    def test_indexes_do_not_change_row_dependent_build_sides(self, nodes, template, values):
+        nodes = [("B", 0)] + nodes  # `m` always matches: every row reaches the build
+        plain = outcome(QueryExecutor(build_graph(nodes, [], False)), template, {"vals": values})
+        indexed = outcome(QueryExecutor(build_graph(nodes, [], True)), template, {"vals": values})
         assert plain == indexed, template
 
     @given(nodes=node_specs, rels=rel_specs, choices=pattern_choices)
@@ -266,7 +283,9 @@ def unanchored_outcome(graph, prefix: str, match: str):
     """The prefix's rows fed to ``match`` through UNWIND and a renaming
     WITH, which bind the same values but anchor nothing: the reference run
     without bound-end starts.  (Initial bindings would anchor: the planner
-    sees what the initial rows bind.)"""
+    sees what the initial rows bind.)  Pass an index-free ``graph``: the
+    renamed names are bound before ``match``, so with indexes a value read
+    from them could drive a seek, and the reference must stay scans-only."""
     try:
         rows = QueryExecutor(graph).execute(prefix + "RETURN *").rows
         names = sorted({name for row in rows for name in row})
@@ -300,7 +319,8 @@ class TestBoundEndDifferential:
         )
         ordered = outcome(QueryExecutor(graph), prefix + match)
         naive = outcome(QueryExecutor(graph, join_ordering=False), prefix + match)
-        assert ordered == naive == unanchored_outcome(graph, prefix, match)
+        reference = unanchored_outcome(build_graph(nodes, rels, False), prefix, match)
+        assert ordered == naive == reference
 
 
 # ---------------------------------------------------------------------------

@@ -147,3 +147,39 @@ def test_plan_cache_misses_stay_flat_after_the_first_activation_of_each_shape():
         tick(session, [955.0])
     assert PLAN_CACHE.stats.plan_misses == before
     assert session.graph.count_nodes_with_label("ZoneSpike") > 100
+
+
+@pytest.mark.parametrize(
+    "condition",
+    [
+        "MATCH (s:Station)-[:Located]->(z:Zone) WHERE s.id = NEW.station",
+        "MATCH (z:Zone) WHERE EXISTS { MATCH (s:Station)-[:Located]->(y:Zone) "
+        "WHERE s.id = NEW.station AND y.n = z.n }",
+    ],
+)
+def test_seek_on_new_agrees_between_batched_and_sequential_tiers(plans, condition):
+    # The condition seeks Station.id by a value NEW carries.  The batched
+    # tier memoizes pattern matches across activations; a seek reading NEW
+    # must keep the pattern off that memo, or every activation would see
+    # the first activation's station.  (The hop keeps the condition off
+    # the incremental tier.)
+    hits = []
+    for batched in (True, False):
+        session = GraphSession(clock=CLOCK, batched_triggers=batched)
+        with session.transaction() as tx:
+            for index in range(10):
+                station = tx.create_node(["Station"], {"id": index})
+                zone = tx.create_node(["Zone"], {"n": index})
+                tx.create_relationship("Located", station.id, zone.id)
+        session.graph.create_property_index("Station", "id")
+        session.create_trigger(
+            "CREATE TRIGGER SeekNew AFTER CREATE ON 'Reading' FOR EACH NODE "
+            f"WHEN {condition} BEGIN CREATE (:Hit {{zone: z.n}}) END"
+        )
+        session.run("UNWIND [1, 4, 7, 4] AS i CREATE (:Reading {station: i})")
+        result = session.run("MATCH (h:Hit) RETURN h.zone AS z ORDER BY z")
+        hits.append([row["z"] for row in result])
+        tiers = session.engine.tier_trace["SeekNew"]["tiers"]
+        assert tiers == ({"batched": 1} if batched else {"sequential": 1})
+    assert any("IndexSeek(Station.id = NEW.station)" in p for p in plans), plans
+    assert hits[0] == hits[1] == [1, 4, 4, 7]
