@@ -3,11 +3,11 @@ PYTHON ?= python
 export PYTHONPATH := src
 
 .PHONY: test test-storage test-concurrency test-paths test-optimizer test-triggers test-cypher \
-	lint bench bench-smoke explain-demo streaming-demo batched-triggers-demo \
-	physical-operators-demo durability-demo concurrency-demo paths-demo optimizer-demo \
-	incremental-triggers-demo contact-tracing-demo serve
+	lint bench-smoke explain-demo streaming-demo batched-triggers-demo \
+	physical-operators-demo paths-demo optimizer-demo contact-tracing-demo serve
 
-## Run the full tier-1 suite (unit + integration + benchmark assertions).
+## Run the full tier-1 suite (unit, integration, the paper's tables, figures and
+## Section 6 suites under tests/paper/, and the benchmark spine's smoke test).
 test:
 	$(PYTHON) -m pytest -x -q
 
@@ -57,79 +57,47 @@ test-cypher:
 lint:
 	ruff check src tests benchmarks
 
-## Run the complete benchmark suite with timing output.
-bench:
-	$(PYTHON) -m pytest benchmarks -q
-
-## The benchmark smoke subset used by CI: the two trigger hot paths, the
-## planner/plan-cache experiment, the streaming-vs-eager P6 comparison, the
-## batched-vs-per-activation P7 trigger comparison, the P8 physical
-## operator comparisons (range seek / hash join / top-k), the P9
-## durability throughput/recovery experiment (incl. WAL replay ms/record
-## at two log lengths), the P10 concurrent-HTTP
-## throughput experiment (qps at 1/2/4/8 clients through the server), the
-## P11 path-query experiment (reachability accelerator vs DFS) and the
-## P12 optimizer-torture experiment (q-error + plan-regret regression gate
-## against benchmarks/optimizer_baseline.json; the scored workload lands
-## in BENCH_optimizer_qerror.json) and the P13 incremental-trigger
-## firehose experiment (≥5x deltas/sec gate against
-## benchmarks/triggers_baseline.json; the result table lands in
-## BENCH_triggers_firehose.json).  Timings are dumped to
-## BENCH_smoke.json (all three JSON files are uploaded as CI artifacts).
+## The wall-clock performance gates (benchmarks/perf/, not in Tier-1): P1
+## trigger matching overhead, P2 cascade depth, P5 planner/plan cache, P6
+## streaming vs eager, P7 batched vs per-activation triggers, P8 physical
+## operators (range seek / hash join / top-k), P11 path queries
+## (reachability accelerator vs DFS) and the P12 optimizer-torture q-error
+## and plan-regret gate against benchmarks/optimizer_baseline.json (the
+## scored workload lands in BENCH_optimizer_qerror.json).  Timings are
+## dumped to BENCH_smoke.json; both files are uploaded as CI artifacts.
 bench-smoke:
-	$(PYTHON) -m pytest \
-		benchmarks/test_perf_trigger_overhead.py \
-		benchmarks/test_section63_apoc_worked_translations.py \
-		benchmarks/test_perf_plan_cache.py \
-		benchmarks/test_perf_streaming.py \
-		benchmarks/test_perf_batched_triggers.py \
-		benchmarks/test_perf_physical_operators.py \
-		benchmarks/test_perf_durability.py \
-		benchmarks/test_perf_concurrency.py \
-		benchmarks/test_perf_paths.py \
-		benchmarks/test_perf_optimizer.py \
-		benchmarks/test_perf_incremental_triggers.py \
+	$(PYTHON) -m pytest benchmarks/perf \
 		-q --benchmark-columns=min,mean,rounds \
 		--benchmark-json=BENCH_smoke.json
 
+## Print one experiment of benchmarks/perf/experiments.py.
+PERF_DEMO = PYTHONPATH=src:benchmarks/perf $(PYTHON) -c \
+	"import experiments; print(experiments.$(1)().to_text())"
+
 ## Print the P5 experiment (EXPLAIN output + plan-cache statistics).
 explain-demo:
-	$(PYTHON) -c "from repro.bench import perf_plan_cache; print(perf_plan_cache().to_text())"
+	$(call PERF_DEMO,perf_plan_cache)
 
 ## Print the P6 experiment (streaming vs eager MATCH … LIMIT latency).
 streaming-demo:
-	$(PYTHON) -c "from repro.bench import perf_streaming_limit; print(perf_streaming_limit().to_text())"
+	$(call PERF_DEMO,perf_streaming_limit)
 
 ## Print the P7 experiment (batched vs per-activation trigger evaluation).
 batched-triggers-demo:
-	$(PYTHON) -c "from repro.bench import perf_batched_triggers; print(perf_batched_triggers().to_text())"
+	$(call PERF_DEMO,perf_batched_triggers)
 
 ## Print the P8 experiment (range seek / hash join / top-k vs baselines).
 physical-operators-demo:
-	$(PYTHON) -c "from repro.bench import perf_physical_operators; print(perf_physical_operators().to_text())"
-
-## Print the P9 experiment (in-memory vs fsync vs group-commit throughput,
-## plus WAL replay ms/record at two log lengths).
-durability-demo:
-	$(PYTHON) -c "from repro.bench import perf_durability; print(perf_durability().to_text())"
-
-## Print the P10 experiment (HTTP qps at 1/2/4/8 concurrent clients).
-concurrency-demo:
-	$(PYTHON) -c "from repro.bench import perf_concurrency; print(perf_concurrency().to_text())"
+	$(call PERF_DEMO,perf_physical_operators)
 
 ## Print the P11 experiment (reachability accelerator vs DFS, shortestPath).
 paths-demo:
-	$(PYTHON) -c "from repro.bench import perf_paths; print(perf_paths().to_text())"
+	$(call PERF_DEMO,perf_paths)
 
 ## Print the P12 experiment (optimizer torture: per-kind q-error and plan
 ## regret, histogram vs one-third heuristic, narrow-hop routing counters).
 optimizer-demo:
-	$(PYTHON) -c "from repro.bench import perf_optimizer; print(perf_optimizer().to_text())"
-
-## Print the P13 experiment (incremental trigger views vs batched:
-## sustained deltas/sec over a firehose delta stream).
-incremental-triggers-demo:
-	$(PYTHON) -c "from repro.bench import perf_incremental_triggers; print(perf_incremental_triggers().to_text())"
+	$(call PERF_DEMO,perf_optimizer)
 
 ## Run the contact-tracing path-query walkthrough (k-hop exposure rings,
 ## shortest transmission chains, a path-predicate trigger).

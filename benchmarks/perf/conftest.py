@@ -1,8 +1,9 @@
-"""Shared configuration for the benchmark suite.
+"""Shared configuration for the wall-clock performance gates.
 
-Each benchmark regenerates one paper artifact (table/figure) or one added
-performance experiment, asserts the qualitative "shape" the paper reports,
-and times the regeneration with pytest-benchmark.
+Each gate runs one experiment of :mod:`experiments`, asserts its rows and
+its speed against an in-repo baseline, and times the run with
+pytest-benchmark.  ``make bench-smoke`` runs them; the Tier-1 suite does
+not collect this directory.
 """
 
 import pytest

@@ -6,7 +6,7 @@ cascading through an N-trigger set, the batched engine must be at least
 Spike/Audit populations (the experiment itself asserts the equivalence).
 """
 
-from repro.bench import perf_batched_triggers
+from experiments import perf_batched_triggers
 
 
 def test_perf_batched_trigger_evaluation(benchmark, assert_result):

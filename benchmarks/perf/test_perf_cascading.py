@@ -1,6 +1,6 @@
 """P2 (added) — cascading depth cost and static termination verdicts."""
 
-from repro.bench import perf_cascading
+from experiments import perf_cascading
 
 
 def test_perf_cascading(benchmark, assert_result):

@@ -1,30 +1,31 @@
 """P12 (added) — optimizer torture: q-error and plan-regret regression gate.
 
-The acceptance bar: over the seeded randomized workload of
-:mod:`repro.bench.torture` (skewed value distributions, composite
-predicates, connected joins, narrow hop windows), the median q-error of
-EXPLAIN's ``est~rows`` against the rows actually produced must stay ≤ 2,
-the equi-depth histogram must beat the one-third range heuristic on the
-same skewed range queries, and at least one narrow-hop query must route
-through the accelerator's DFS walk.
+The acceptance bar: over the seeded randomized workload of :mod:`torture`
+(skewed value distributions, composite predicates, connected joins,
+narrow hop windows), the median q-error of EXPLAIN's ``est~rows`` against
+the rows actually produced must stay ≤ 2, the equi-depth histogram must
+beat the one-third range heuristic on the same skewed range queries, and
+at least one narrow-hop query must route through the accelerator's DFS
+walk.
 
 On top of the absolute bars, a regression gate compares the run against
-the committed ``optimizer_baseline.json``: the estimation aggregates
-(deterministic for a fixed seed) must not drift past a 1.25x slack, and
-the timing-based median regret gets a generous 2x slack for CI noise.
-The full scored workload is dumped to ``BENCH_optimizer_qerror.json``
-(uploaded as a CI artifact) so a failing gate names the exact queries
-that regressed.
+the committed ``benchmarks/optimizer_baseline.json``: the estimation
+aggregates (deterministic for a fixed seed) must not drift past a 1.25x
+slack, and the timing-based median regret gets a generous 2x slack for
+CI noise.  The full scored workload is dumped to
+``BENCH_optimizer_qerror.json`` at the repository root (uploaded as a CI
+artifact) so a failing gate names the exact queries that regressed.
 """
 
 import json
 from pathlib import Path
 
-from repro.bench import perf_optimizer
-from repro.bench.torture import run_torture
+from experiments import perf_optimizer
+from torture import run_torture
 
-BASELINE_PATH = Path(__file__).with_name("optimizer_baseline.json")
-ARTIFACT_PATH = Path(__file__).resolve().parent.parent / "BENCH_optimizer_qerror.json"
+HERE = Path(__file__).resolve().parent
+BASELINE_PATH = HERE.parent / "optimizer_baseline.json"
+ARTIFACT_PATH = HERE.parent.parent / "BENCH_optimizer_qerror.json"
 
 
 def test_perf_optimizer(benchmark, assert_result):

@@ -8,7 +8,7 @@ routes touch every descendant), and the bidirectional-BFS shortestPath
 must beat the naive enumerator.
 """
 
-from repro.bench import perf_paths
+from experiments import perf_paths
 
 
 def test_perf_paths(benchmark, assert_result):

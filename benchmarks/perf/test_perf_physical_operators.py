@@ -8,7 +8,7 @@ ratio is reported only: its win is bounded by the per-row projection cost
 both routes pay.
 """
 
-from repro.bench import perf_physical_operators
+from experiments import perf_physical_operators
 
 
 def test_perf_physical_operators(benchmark, assert_result):

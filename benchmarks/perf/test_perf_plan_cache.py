@@ -1,6 +1,6 @@
 """P5 (added) — index-aware planning and the global parse+plan cache."""
 
-from repro.bench import perf_plan_cache
+from experiments import perf_plan_cache
 
 
 def test_perf_plan_cache(benchmark, assert_result):

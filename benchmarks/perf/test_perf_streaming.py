@@ -6,7 +6,7 @@ the streaming executor than through the eager (materialise-everything)
 baseline, with identical rows.
 """
 
-from repro.bench import perf_streaming_limit
+from experiments import perf_streaming_limit
 
 
 def test_perf_streaming_limit(benchmark, assert_result):

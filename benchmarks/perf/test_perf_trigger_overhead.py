@@ -1,6 +1,6 @@
 """P1 (added) — trigger matching overhead vs number of installed triggers."""
 
-from repro.bench import perf_trigger_overhead
+from experiments import perf_trigger_overhead
 
 
 def test_perf_trigger_overhead(benchmark, assert_result):

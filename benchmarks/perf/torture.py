@@ -29,8 +29,8 @@ magnitude (the histogram fixes it), low-cardinality pairs where only the
 composite index is selective, and a deep containment tree where narrow
 hop windows reward DFS routing over interval scans.
 
-Used by the P12 experiment (:func:`repro.bench.experiments.perf_optimizer`),
-the ``benchmarks/test_perf_optimizer.py`` regression gate and ``make
+Used by the P12 experiment (:func:`experiments.perf_optimizer`), the
+``test_perf_optimizer.py`` regression gate next to this file and ``make
 optimizer-demo``.
 """
 
@@ -40,12 +40,12 @@ import random
 import statistics as _statistics
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Optional
 
-from ..cypher.executor import QueryExecutor
-from ..cypher.planner import PLAN_CACHE
-from ..graph.statistics import CardinalityEstimator
-from ..graph.store import PropertyGraph
+from repro.cypher.executor import QueryExecutor
+from repro.cypher.planner import PLAN_CACHE
+from repro.graph.statistics import CardinalityEstimator
+from repro.graph.store import PropertyGraph
 
 #: The timed plan alternative: the planned configuration must beat (or
 #: tie) it for its regret to stay at 1.0.
@@ -93,7 +93,7 @@ class TortureReport:
     seed: int
     cases: list[TortureCase] = field(default_factory=list)
     #: Median q-error of the one-third heuristic on the same range
-    #: queries the histogram answered (the satellite comparison).
+    #: queries the histogram answered (histogram vs heuristic).
     heuristic_range_q_error: float = 0.0
     histogram_range_q_error: float = 0.0
     #: Accelerator routing counters after the narrow-hop segment.

@@ -10,8 +10,11 @@ subpackages are:
 * :mod:`repro.schema` — PG-Schema / PG-Keys;
 * :mod:`repro.triggers` — the PG-Trigger language and execution engine;
 * :mod:`repro.compat` — APOC / Memgraph emulation and translators;
-* :mod:`repro.datasets` — CoV2K-style data and synthetic workloads;
-* :mod:`repro.bench` — experiment harness regenerating the paper artifacts.
+* :mod:`repro.datasets` — CoV2K-style data and synthetic workloads.
+
+The paper's tables, figures and Section 6 suites are regenerated and
+checked by the tests under ``tests/paper/``; the performance experiments
+live under ``benchmarks/``, outside the library.
 
 The driver-style public API lives at the top level::
 

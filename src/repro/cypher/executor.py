@@ -62,6 +62,7 @@ import operator
 from dataclasses import replace as _dc_replace
 from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
+from ..graph.errors import NodeNotFoundError
 from ..graph.model import Node, Relationship
 from ..graph.store import PropertyGraph
 from ..paths import (
@@ -1545,7 +1546,11 @@ class QueryExecutor:
                 candidates = [self.graph.relationship(candidates[0].id)]
         else:
             direction = {"out": "out", "in": "in", "both": "both"}[rel_pattern.direction]
-            candidates = self.graph.relationships_of(node.id, direction=direction)
+            try:
+                candidates = self.graph.relationships_of(node.id, direction=direction)
+            except NodeNotFoundError:
+                # A node deleted earlier in the transaction has no relationships.
+                return []
         result = []
         for rel in candidates:
             if not self._relationship_satisfies(rel_pattern, rel, node, bindings):

@@ -41,12 +41,17 @@ class TokenType(enum.Enum):
 
 @dataclass(frozen=True)
 class Token:
-    """A single lexical token."""
+    """A single lexical token.
+
+    A keyword's ``value`` is upper-cased; ``text`` keeps it as written, for
+    when the keyword is used as a name (a label, type, key or variable).
+    """
 
     type: TokenType
     value: str
     position: int
     line: int
+    text: str = ""
 
     def is_keyword(self, *names: str) -> bool:
         """True when this token is one of the given keywords."""
@@ -212,7 +217,7 @@ class Lexer:
         word = text[start:self.pos]
         upper = word.upper()
         if upper in KEYWORDS:
-            return Token(TokenType.KEYWORD, upper, start, self.line)
+            return Token(TokenType.KEYWORD, upper, start, self.line, word)
         return Token(TokenType.IDENTIFIER, word, start, self.line)
 
 

@@ -129,10 +129,10 @@ class Parser:
             self.advance()
             return token.value
         # Allow non-reserved keywords to double as identifiers (e.g. a
-        # property named ``count`` or a variable named ``end``).
+        # property named ``count`` or a type named ``In``), spelled as written.
         if token.type == TokenType.KEYWORD:
             self.advance()
-            return token.value.lower()
+            return token.text
         raise CypherSyntaxError(
             f"expected identifier, found {token.value!r}", token.position, token.line
         )

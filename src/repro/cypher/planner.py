@@ -481,9 +481,12 @@ def plan_query(
             # those rows, so a clause containing such a pattern must run
             # entirely unseeked (label/virtual scans only) to raise — or
             # not raise — exactly like the unplanned executor.  The same
-            # hazard already declines join reordering below.
+            # hazard already declines join reordering below.  So does an
+            # inline value a seek could skip evaluating (see
+            # :func:`_seek_may_hide_errors`).
             external = [
                 _pattern_has_external_reads(pattern, bound)
+                or _seek_may_hide_errors(pattern, sargable)
                 for pattern in clause.patterns
             ]
             if any(external):
@@ -552,16 +555,18 @@ def _plan_exists(
     for exists in walk_expression(where):
         if not isinstance(exists, ExistsPattern):
             continue
+        sargable = _sargable_predicates(exists.where, bound)
         available = set(bound)
         external = False
         for pattern in exists.patterns:
-            external = external or _pattern_has_external_reads(pattern, available)
+            external = (
+                external
+                or _pattern_has_external_reads(pattern, available)
+                or _seek_may_hide_errors(pattern, sargable)
+            )
             available |= _pattern_variable_names(pattern)
-        sargable = (
-            _SargablePredicates()
-            if external
-            else _sargable_predicates(exists.where, bound)
-        )
+        if external:
+            sargable = _SargablePredicates()
         seen, anchors = set(bound), set(nodes)
         for pattern in exists.patterns:
             plans.append(
@@ -1170,6 +1175,26 @@ def _pattern_has_external_reads(pattern: PathPattern, bound_before: set[str]) ->
                 return True
         if element.variable is not None:
             available.add(element.variable)
+    return False
+
+
+def _seek_may_hide_errors(pattern: PathPattern, sargable: "_SargablePredicates") -> bool:
+    """Could a seek skip a candidate on which the scan raises?
+
+    The scan evaluates an element's whole inline map on every candidate,
+    so a value that is neither a literal nor a parameter (``{z: 1/0, id:
+    1}``) may raise on a candidate that a seek on another property, inline
+    or from the WHERE, never visits.  Only a map of that one value, with
+    no WHERE seek on its element, stays seekable: a seek on it evaluates
+    the very value, and falls back to the scan when it raises.
+    """
+    for element in pattern.elements:
+        if all(isinstance(expr, (Literal, Parameter)) for _, expr in element.properties):
+            continue
+        if len(element.properties) > 1 or element.variable in (
+            sargable.equalities.keys() | sargable.ranges.keys() | sargable.in_lists.keys()
+        ):
+            return True
     return False
 
 

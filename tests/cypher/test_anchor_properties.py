@@ -17,6 +17,7 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 from repro.cypher.executor import QueryExecutor
+from repro.graph import PropertyGraph
 from repro.tx import Transaction
 from tests.test_join_ordering_properties import (
     build_graph,
@@ -95,3 +96,23 @@ class TestAnchorDifferential:
             )
         )
         assert anchored == unwound, (query, kind)
+
+    def test_multi_hop_pattern_from_a_deleted_node_matches_nothing(self):
+        # A node deleted earlier in the transaction has no relationships:
+        # expanding from it yields no hops, anchored or not.
+        graph = PropertyGraph()
+        a, m, c = (graph.create_node([label]) for label in ("A", "M", "C"))
+        graph.create_relationship("R", a.id, m.id)
+        graph.create_relationship("S", m.id, c.id)
+        tx = Transaction(graph)
+        tx.delete_node(a.id, detach=True)
+        query = "MATCH (a)-[:R]->(m)-[:S]->(c) RETURN a, m, c"
+        anchored = outcome(
+            lambda: QueryExecutor(graph, transaction=tx).execute(query, bindings={"a": a})
+        )
+        unwound = outcome(
+            lambda: QueryExecutor(graph, transaction=tx).execute(
+                "UNWIND [$a] AS a " + query, {"a": a}
+            )
+        )
+        assert anchored == unwound == []

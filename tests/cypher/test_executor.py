@@ -75,6 +75,18 @@ class TestCreate:
         result = execute(graph, "CREATE (a:Alert {desc: 'x'}) RETURN a.desc AS desc")
         assert result.values("desc") == ["x"]
 
+    def test_keywords_used_as_names_keep_their_spelling(self, graph):
+        result = execute(
+            graph,
+            "CREATE (o:Order {Count: 1})-[r:In]->(:B) "
+            "RETURN labels(o) AS labels, keys(o) AS keys, type(r) AS type",
+        )
+        assert result.rows == [{"labels": ["Order"], "keys": ["Count"], "type": "In"}]
+        a = graph.create_node(["Case"])
+        graph.create_relationship("In", a.id, graph.create_node(["B"]).id)
+        assert execute(graph, "MATCH (:Case)-[r:In]->() RETURN count(r) AS n").rows == [{"n": 1}]
+        assert execute(graph, "MATCH ()-[r:In]->() RETURN count(r) AS n").rows == [{"n": 2}]
+
 
 class TestMatch:
     def test_match_by_label(self, hospital_graph):

@@ -158,6 +158,10 @@ BOUND_VALUE_TEMPLATES = [
     "UNWIND $vals AS v MATCH (n:C) WHERE n.v = v.k RETURN n",
     "UNWIND $vals AS v MATCH (n:A {v: v.k})-[:R]->(m:B) RETURN n, m",
     "UNWIND $vals AS v MATCH (m:B), (n:A) WHERE n.v = v AND m.v = n.v RETURN n, m",
+    # A seek on `v` must not skip the candidates the scan raises on.
+    "UNWIND $vals AS v MATCH (n:A {z: 1/0, v: v}) RETURN n",
+    "UNWIND $vals AS v MATCH (n:A {v: v, z: 1/0}) RETURN n",
+    "UNWIND $vals AS v MATCH (n:A {z: 1/0}) WHERE n.v = v RETURN n",
 ]
 
 #: The seeked pattern joined second: its hash-join build side is filled by

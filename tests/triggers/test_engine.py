@@ -434,6 +434,27 @@ class TestOrderingAndCascading:
         assert len(session.engine.firings) == 0
 
 
+class TestDeletedTransitionNodes:
+    def test_condition_expanding_from_a_node_deleted_by_an_earlier_trigger(self, session):
+        # A deleted node has no relationships, so B's condition matches
+        # nothing instead of expanding the stale snapshot of NEW.
+        session.create_trigger("""
+            CREATE TRIGGER A AFTER CREATE ON 'N' FOR EACH NODE
+            BEGIN MATCH (n) WHERE id(n) = id(NEW) DETACH DELETE n END
+        """)
+        session.create_trigger("""
+            CREATE TRIGGER B AFTER CREATE ON 'N' FOR EACH NODE
+            WHEN MATCH (NEW)-[:R]->(x)
+            BEGIN CREATE (:Fired) END
+        """)
+        session.run("CREATE (:N)-[:R]->(:M)")
+        assert session.graph.count_nodes_with_label("N") == 0
+        assert session.graph.count_nodes_with_label("Fired") == 0
+        summary = session.engine.firing_summary()
+        assert summary["A"]["executed"] == 1
+        assert summary["B"] == {"executed": 0, "suppressed": 1, "max_depth": 0}
+
+
 class TestErrorsAndRollback:
     def test_statement_error_wrapped_and_rolled_back(self, session):
         session.create_trigger("""

@@ -212,3 +212,21 @@ class TestCreationLabels:
         for event in (EventType.SET, EventType.REMOVE):
             watcher = trig("Watcher", "X", event=event, property="p")
             assert any(e.matches(watcher) for e in events), event
+
+
+class TestCascadeChains:
+    @pytest.mark.parametrize("depth", [1, 2, 4, 8])
+    def test_linear_chain_fires_each_level_once_and_is_terminating(self, depth):
+        session = GraphSession(max_cascade_depth=depth + 2)
+        for level in range(depth):
+            session.create_trigger(
+                f"CREATE TRIGGER Chain{level} AFTER CREATE ON 'Level{level}' FOR EACH NODE "
+                f"BEGIN CREATE (:Level{level + 1} {{step: {level + 1}}}) END"
+            )
+        assert session.analyse_termination().guaranteed_termination
+        session.run("CREATE (:Level0 {step: 0})")
+        summary = session.engine.firing_summary().values()
+        # depth d fires every trigger once, the last at cascade level d - 1
+        assert sum(entry["executed"] for entry in summary) == depth
+        assert max(entry["max_depth"] for entry in summary) == depth - 1
+        assert session.graph.count_nodes_with_label(f"Level{depth}") == 1
