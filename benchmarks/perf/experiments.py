@@ -20,6 +20,7 @@ matching ``make *-demo`` target.
 from __future__ import annotations
 
 import datetime as _dt
+import statistics
 import time
 from dataclasses import dataclass, field
 from typing import Any, Mapping
@@ -111,26 +112,34 @@ def perf_trigger_overhead(trigger_counts=(0, 1, 4, 16, 64), statements: int = 15
     return result
 
 
-def perf_cascading(depths=(1, 2, 4, 8, 12)) -> ExperimentResult:
-    """P2 — cascading chains of increasing length, with the static analysis verdict."""
+def perf_cascading(depths=(1, 2, 4, 8, 12), repeats: int = 5) -> ExperimentResult:
+    """P2 — cascading chains of increasing length, with the static analysis verdict.
+
+    Each depth's time is the median of ``repeats`` runs, each in a fresh
+    session, after one untimed warm-up run: the work is sub-millisecond,
+    so a single timing can be flipped by one pause.
+    """
     result = ExperimentResult("P2", "P2 — cascading depth: runtime cost and termination analysis")
     for depth in depths:
-        session = GraphSession(clock=_CLOCK, max_cascade_depth=depth + 2)
-        for level in range(depth):
-            session.create_trigger(
-                f"CREATE TRIGGER Chain{level} AFTER CREATE ON 'Level{level}' FOR EACH NODE "
-                f"BEGIN CREATE (:Level{level + 1} {{step: {level + 1}}}) END"
-            )
+        timings = []
+        for attempt in range(repeats + 1):
+            session = GraphSession(clock=_CLOCK, max_cascade_depth=depth + 2)
+            for level in range(depth):
+                session.create_trigger(
+                    f"CREATE TRIGGER Chain{level} AFTER CREATE ON 'Level{level}' FOR EACH NODE "
+                    f"BEGIN CREATE (:Level{level + 1} {{step: {level + 1}}}) END"
+                )
+            started = time.perf_counter()
+            session.run("CREATE (:Level0 {step: 0})")
+            if attempt:
+                timings.append(time.perf_counter() - started)
         report = session.analyse_termination()
-        started = time.perf_counter()
-        session.run("CREATE (:Level0 {step: 0})")
-        elapsed = time.perf_counter() - started
         summary = session.engine.firing_summary().values()
         result.add_row(
             chain_length=depth,
             triggers_fired=sum(entry["executed"] for entry in summary),
             max_depth_reached=max((entry["max_depth"] for entry in summary), default=0),
-            seconds=elapsed,
+            seconds=statistics.median(timings),
             termination_guaranteed=report.guaranteed_termination,
         )
     return result

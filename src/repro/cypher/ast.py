@@ -476,6 +476,13 @@ def expression_text(expr: Expression) -> str:
     return expr.__class__.__name__
 
 
+def conjuncts(expr: Expression) -> list[Expression]:
+    """The operands of an AND chain, however it nests, left to right."""
+    if isinstance(expr, BinaryOp) and expr.op == "AND":
+        return conjuncts(expr.left) + conjuncts(expr.right)
+    return [expr]
+
+
 def walk_expression(expr: Expression) -> Sequence[Expression]:
     """Yield ``expr`` and every sub-expression (pre-order)."""
     out: list[Expression] = [expr]

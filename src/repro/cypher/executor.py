@@ -58,8 +58,8 @@ from __future__ import annotations
 import datetime as _dt
 import heapq
 import itertools
-import operator
 from dataclasses import replace as _dc_replace
+from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from ..graph.errors import NodeNotFoundError
@@ -104,7 +104,13 @@ from .ast import (
     walk_expression,
 )
 from .errors import CypherError, CypherRuntimeError, CypherTypeError, UnsupportedFeatureError
-from .expressions import EvaluationContext, compile_expression, evaluate
+from .expressions import (
+    EvaluationContext,
+    compile_expression,
+    compile_map_entries,
+    evaluate,
+    map_value_matches,
+)
 from .functions import AGGREGATE_FUNCTIONS, is_aggregate_function
 from .physical import HashJoin, JoinOperator
 from .planner import (
@@ -488,23 +494,32 @@ class QueryExecutor:
     # ------------------------------------------------------------------
 
     def _iter_match(self, clause: MatchClause, rows: Iterator[dict]) -> Iterator[dict]:
+        """All bindings the input rows produce for a MATCH clause, lazily."""
         steps = self._match_steps(clause)
-        # A lone one-node pattern needs no path machinery: its candidates
-        # are filtered directly, unless a path variable or the batched
-        # tier's match memo needs the general route.
-        scan = None
-        pattern = steps[0][0]
-        if len(steps) == 1 and len(pattern.elements) == 1 and pattern.variable is None:
-            if not self.memoize_match:
-                plan = self._plan.for_pattern(pattern) if self._plan is not None else None
-                scan = (pattern.elements[0], plan.start if plan is not None else None)
+        single = steps[0][0] if len(steps) == 1 else None
+        where = None if clause.where is None else compile_expression(clause.where)
+        context = self._context()
         # Hash-join build tables live per MATCH *stage*: one pipeline pass
         # over (possibly many) input rows shares them, keyed by the build
         # pattern's dependency bindings so rows differing in a dependency
         # can never alias (same contract as the match memo).
         join_state: dict[tuple, _JoinTable] = {}
         for row in rows:
-            yield from self._iter_match_row(clause, steps, row, join_state, scan)
+            if single is not None:
+                candidates = self._iter_pattern(single, row)
+            else:
+                candidates = self._iter_join_steps(steps, 0, dict(row), join_state)
+            produced = False
+            for candidate in candidates:
+                if where is not None and where(candidate, context) is not True:
+                    continue
+                produced = True
+                yield candidate
+            if not produced and clause.optional:
+                padded = dict(row)
+                for name in _pattern_variables(clause.patterns):
+                    padded.setdefault(name, None)
+                yield padded
 
     def _match_steps(
         self, clause: MatchClause
@@ -530,34 +545,6 @@ class QueryExecutor:
                 return [(clause.patterns[index], None) for index in join_order.order]
         return [(pattern, None) for pattern in clause.patterns]
 
-    def _iter_match_row(
-        self,
-        clause: MatchClause,
-        steps: Sequence[tuple[PathPattern, Optional[JoinOperator]]],
-        row: dict,
-        join_state: dict,
-        scan: tuple[NodePattern, AccessPath | None] | None,
-    ) -> Iterator[dict]:
-        """All bindings one input row produces for a MATCH clause, lazily."""
-        produced = False
-        if scan is None:
-            candidates = self._iter_join_steps(steps, 0, dict(row), join_state)
-        else:
-            pairs = self._candidate_nodes(scan[0], row, scan[1])
-            candidates = map(operator.itemgetter(1), pairs)  # (node, bindings) -> bindings
-        where = None if clause.where is None else compile_expression(clause.where)
-        context = self._context()
-        for candidate in candidates:
-            if where is not None and where(candidate, context) is not True:
-                continue
-            produced = True
-            yield candidate
-        if not produced and clause.optional:
-            padded = dict(row)
-            for name in _pattern_variables(clause.patterns):
-                padded.setdefault(name, None)
-            yield padded
-
     def _iter_join_steps(
         self,
         steps: Sequence[tuple[PathPattern, Optional[JoinOperator]]],
@@ -573,7 +560,7 @@ class QueryExecutor:
         operator: the pattern's extensions are matched once, stored as
         row *deltas* (optionally bucketed by build-key values), and
         replayed onto every partial row — the key match is only a
-        pre-filter, since :meth:`_iter_match_row` still evaluates the full
+        pre-filter, since :meth:`_iter_match` still evaluates the full
         WHERE on each joined candidate.
         """
         if index >= len(steps):
@@ -672,14 +659,13 @@ class QueryExecutor:
         return list(self._iter_pattern(pattern, row))
 
     def _iter_pattern(self, pattern: PathPattern, row: dict) -> Iterator[dict]:
-        """Lazily yield every way of matching ``pattern`` from ``row``."""
+        """Every way of matching ``pattern`` from ``row``, lazily."""
         if self.memoize_match and not any(
             name in self.memoize_skip_variables
             for name in self._pattern_dependencies(pattern)
         ):
-            yield from self._iter_pattern_memoized(pattern, row)
-        else:
-            yield from self._iter_pattern_live(pattern, row)
+            return self._iter_pattern_memoized(pattern, row)
+        return self._iter_pattern_live(pattern, row)
 
     def _iter_pattern_memoized(self, pattern: PathPattern, row: dict) -> Iterator[dict]:
         """Cross-row memoization of pattern extensions (batched passes only).
@@ -774,7 +760,8 @@ class QueryExecutor:
         return dependencies
 
     def _iter_pattern_live(self, pattern: PathPattern, row: dict) -> Iterator[dict]:
-        """Uncached matching of ``pattern`` against the live graph."""
+        """Uncached matching of ``pattern`` against the live graph, lazily
+        (the start is chosen now, its candidates are pulled on demand)."""
         elements = pattern.elements
         access: AccessPath | None = None
         if self._plan is not None:
@@ -783,8 +770,7 @@ class QueryExecutor:
                 elements = pattern_plan.elements
                 access = pattern_plan.start
         if pattern.shortest is not None:
-            yield from self._iter_shortest(pattern, elements, row, access)
-            return
+            return self._iter_shortest(pattern, elements, row, access)
         if access is not None and access.kind in (REL_INDEX, BOUND_REL):
             relationships = (
                 self._rel_seek_candidates(access, row)
@@ -792,19 +778,23 @@ class QueryExecutor:
                 else self._bound_relationship(access, row)
             )
             if relationships is not None:
-                yield from self._iter_pattern_from_relationships(
+                return self._iter_pattern_from_relationships(
                     pattern, elements, relationships, row
                 )
-                return
             # Index gone or value unusable: degrade to the node-anchored scan.
             access = None
         first = elements[0]
         assert isinstance(first, NodePattern)
-        for node, bindings in self._candidate_nodes(first, row, access):
-            yield from self._extend_path(
+        candidates = self._candidate_nodes(first, row, access)
+        if len(elements) == 1 and pattern.variable is None:
+            return map(itemgetter(1), candidates)  # a lone node: its bindings
+        return itertools.chain.from_iterable(
+            self._extend_path(
                 elements, 1, node, bindings, used_rels=set(),
                 path_nodes=[node], path_rels=[], pattern=pattern,
             )
+            for node, bindings in candidates
+        )
 
     def _rel_seek_candidates(
         self, access: AccessPath, row: dict
@@ -1311,8 +1301,10 @@ class QueryExecutor:
     ) -> Iterator[tuple[Node, dict]]:
         """Yield (node, updated bindings) pairs satisfying ``node_pattern``.
 
-        A variable the row binds yields that node only; bound to null, it
-        yields nothing.
+        The one scan-and-filter operator: a variable the row binds yields
+        that node only (bound to null, nothing); other candidates meet the
+        start's :class:`ScanFilter` before a binding row is copied, or,
+        without one (or with a parameter missing), :meth:`_node_satisfies`.
         """
         variable = node_pattern.variable
         if variable is not None and variable in row:
@@ -1325,8 +1317,28 @@ class QueryExecutor:
             if self._node_satisfies(node_pattern, refreshed, row):
                 yield refreshed, dict(row)
             return
-        for node in self._scan_nodes(node_pattern, row, access):
-            if self._node_satisfies(node_pattern, node, row):
+        nodes, scanned = self._scan_nodes(node_pattern, row, access)
+        tests = None
+        if access is not None and access.filter is not None:
+            tests = access.filter.bind(self.parameters)
+        if tests is None:
+            nodes = (node for node in nodes if self._node_satisfies(node_pattern, node, row))
+            tests = others = ()
+        else:
+            # The store's scanned label needs no second look.
+            others = [label for label in node_pattern.labels if label != scanned]
+        virtual = self.virtual_labels
+        for node in nodes:
+            properties = node.properties
+            for key, test in tests:
+                if not test(properties.get(key)):
+                    break
+            else:
+                if others and not all(
+                    node.id in virtual[label] if label in virtual else label in node.labels
+                    for label in others
+                ):
+                    continue
                 bindings = dict(row)
                 if variable is not None:
                     bindings[variable] = node
@@ -1337,23 +1349,22 @@ class QueryExecutor:
         node_pattern: NodePattern,
         row: dict,
         access: AccessPath | None = None,
-    ) -> Iterable[Node]:
+    ) -> tuple[Iterable[Node], str | None]:
         """Pick the cheapest starting candidate set for a node pattern.
 
-        A planned access path is advisory: every candidate it produces is
-        still checked by :meth:`_node_satisfies` (and any WHERE clause), so
-        an index path can only narrow the candidate set, never change the
-        result.  When the index is gone or the looked-up value is null the
-        path degrades to the unplanned logic below.
+        Returns the candidates and the label a label scan guarantees (or
+        None).  A planned access path is advisory: every candidate it
+        produces is still checked against the pattern (and any WHERE
+        clause), so an index path can only narrow the candidate set, never
+        change the result.  When the index is gone or the looked-up value
+        is null the path degrades to the unplanned logic below.
         """
+        hit = None
         if access is not None and access.kind == INDEX:
             try:
                 value = self._evaluate(access.value, row)
-                hit = (
-                    self.graph.property_index_lookup(access.label, access.property, value)
-                    if value is not None
-                    else None
-                )
+                if value is not None:
+                    hit = self.graph.property_index_lookup(access.label, access.property, value)
             except (TypeError, CypherError):
                 # Unhashable value (dict, set, …), a missing parameter or a
                 # value that fails to evaluate (``row.k`` on an integer):
@@ -1362,37 +1373,29 @@ class QueryExecutor:
                 # WHERE/property re-check raises (or filters) per candidate
                 # exactly as it did before planning existed.
                 hit = None
-            if hit is not None:
-                return hit
         elif access is not None and access.kind == COMPOSITE:
             hit = self._composite_seek_candidates(access, row)
-            if hit is not None:
-                return hit
         elif access is not None and access.kind == IN_LIST:
             hit = self._in_seek_candidates(access, row)
-            if hit is not None:
-                return hit
         elif access is not None and access.kind == RANGE:
             hit = self._range_seek_candidates(access, row)
-            if hit is not None:
-                return hit
         elif access is not None and access.kind == ORDERED:
             hit = self._ordered_scan_candidates(access)
-            if hit is not None:
-                return hit
-            # Index dropped or mixed-typed since planning: the label scan
-            # below is correct but unordered, so the projection must sort.
-            self._presorted_ok = False
+            if hit is None:
+                # Index dropped or mixed-typed since planning: the label
+                # scan below is correct but unordered, so the projection
+                # must sort.
+                self._presorted_ok = False
+        if hit is not None:
+            return hit, None
         for label in node_pattern.labels:
             if label in self.virtual_labels:
                 ids = self.virtual_labels[label]
-                return [self.graph.node(i) for i in sorted(ids) if self.graph.has_node(i)]
+                return [self.graph.node(i) for i in sorted(ids) if self.graph.has_node(i)], label
         if node_pattern.labels:
-            real_labels = [l for l in node_pattern.labels if l not in self.virtual_labels]
-            if real_labels:
-                best = min(real_labels, key=self.graph.count_nodes_with_label)
-                return self.graph.nodes_with_label(best)
-        return self.graph.nodes()
+            best = min(node_pattern.labels, key=self.graph.count_nodes_with_label)
+            return self.graph.nodes_with_label(best), best
+        return self.graph.nodes(), None
 
     def _composite_seek_candidates(self, access: AccessPath, row: dict) -> list[Node] | None:
         """Composite-index probe: every property pinned at once.
@@ -1498,16 +1501,19 @@ class QueryExecutor:
             return None
 
     def _node_satisfies(self, node_pattern: NodePattern, node: Node, row: dict) -> bool:
+        """Labels, then the inline map in written order, on one candidate."""
         for label in node_pattern.labels:
             if label in self.virtual_labels:
                 if node.id not in self.virtual_labels[label]:
                     return False
             elif label not in node.labels:
                 return False
-        for key, expr in node_pattern.properties:
-            expected = compile_expression(expr)(row, self._context())
-            if node.properties.get(key) != expected:
-                return False
+        if node_pattern.properties:
+            context = self._context()
+            properties = node.properties
+            for key, value in compile_map_entries(node_pattern):
+                if not map_value_matches(properties.get(key), value(row, context)):
+                    return False
         return True
 
     def _bind_node(self, node_pattern: NodePattern, node: Node, bindings: dict) -> dict | None:
@@ -1574,10 +1580,11 @@ class QueryExecutor:
             )
             if not virtual_hit and rel.type not in rel_pattern.types:
                 return False
-        for key, expr in rel_pattern.properties:
-            expected = self._evaluate(expr, bindings)
-            if rel.properties.get(key) != expected:
-                return False
+        if rel_pattern.properties:
+            context = self._context()
+            for key, value in compile_map_entries(rel_pattern):
+                if not map_value_matches(rel.properties.get(key), value(bindings, context)):
+                    return False
         return True
 
     # ------------------------------------------------------------------

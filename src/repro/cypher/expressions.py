@@ -43,6 +43,7 @@ from .ast import (
     PropertyAccess,
     UnaryOp,
     Variable,
+    conjuncts,
 )
 from .errors import CypherRuntimeError, CypherTypeError
 from .functions import SCALAR_FUNCTIONS, is_aggregate_function
@@ -122,6 +123,18 @@ def compile_expression(expr: Expression) -> Compiled:
     compiled = _COMPILERS.get(type(expr), _compile_unsupported)(expr)
     object.__setattr__(expr, "_compiled", compiled)  # frozen dataclass: derived state
     return compiled
+
+
+def compile_map_entries(pattern: Any) -> tuple[tuple[str, Compiled], ...]:
+    """A node or relationship pattern's inline map, each value compiled, in
+    written order; cached on the pattern like :func:`compile_expression`."""
+    try:
+        return pattern._entries
+    except AttributeError:
+        pass
+    entries = tuple((key, compile_expression(expr)) for key, expr in pattern.properties)
+    object.__setattr__(pattern, "_entries", entries)
+    return entries
 
 
 def _failing(error: type[Exception], message: str) -> Compiled:
@@ -218,8 +231,11 @@ def _aggregate_value(expr: Expression, context: EvaluationContext) -> Any:
 
 def _compile_property(expr: PropertyAccess) -> Compiled:
     subject, key = compile_expression(expr.subject), expr.key
+    # ``var.key`` reads the row itself, the hot shape of every WHERE; any
+    # other subject (or a name the row lacks) goes through ``subject``.
+    name = expr.subject.name if isinstance(expr.subject, Variable) else None
     def property_access(row, context):
-        value = subject(row, context)
+        value = row[name] if name in row else subject(row, context)
         if value is None:
             return None
         if isinstance(value, (Node, Relationship)):
@@ -269,9 +285,13 @@ def _as_boolean(value: Any) -> bool:
 
 
 def _compile_binary(expr: BinaryOp) -> Compiled:
+    if expr.op == "AND":
+        return _compile_conjunction(
+            tuple(compile_expression(operand) for operand in conjuncts(expr))
+        )
     op, left, right = expr.op, compile_expression(expr.left), compile_expression(expr.right)
-    if op in ("AND", "OR"):
-        return _compile_and_or(op == "AND", left, right)
+    if op == "OR":
+        return _compile_or(left, right)
     if op == "XOR":
         def exclusive(row, context):
             lhs = left(row, context)
@@ -285,6 +305,16 @@ def _compile_binary(expr: BinaryOp) -> Compiled:
             value, container = left(row, context), right(row, context)
             return None if container is None else _value_in_list(value, container)
         return membership
+    if op == "=":
+        def equals(row, context):
+            lhs, rhs = left(row, context), right(row, context)
+            if lhs is None or rhs is None:
+                return None
+            kind = type(lhs)
+            if kind is type(rhs) and (kind is str or kind is int or kind is float):
+                return lhs == rhs
+            return _values_equal(lhs, rhs)
+        return equals
     apply = _BINARY_OPERATORS.get(op)
     def binary(row, context):
         lhs, rhs = left(row, context), right(row, context)
@@ -296,24 +326,39 @@ def _compile_binary(expr: BinaryOp) -> Compiled:
     return binary
 
 
-def _compile_and_or(conjunction: bool, left: Compiled, right: Compiled) -> Compiled:
-    """Kleene AND (``conjunction``) or OR.  An operand that is neither a
-    boolean nor null raises as soon as it is evaluated, and the right
-    operand is skipped when the left one decides the result."""
-    decisive = not conjunction  # False decides an AND, True an OR
-    def logical(row, context):
+def _compile_conjunction(operands: tuple[Compiled, ...]) -> Compiled:
+    """Kleene AND over a flattened chain, left to right: ``false`` skips
+    the rest, ``null`` does not, and a non-boolean raises when reached."""
+    def conjunction(row, context):
+        unknown = False
+        for operand in operands:
+            value = operand(row, context)
+            if value is False:
+                return False
+            if value is None:
+                unknown = True
+            elif value is not True:
+                _as_boolean(value)
+        return None if unknown else True
+    return conjunction
+
+
+def _compile_or(left: Compiled, right: Compiled) -> Compiled:
+    """Kleene OR.  An operand that is neither a boolean nor null raises as
+    soon as it is evaluated, and a true left operand skips the right one."""
+    def disjunction(row, context):
         lhs = left(row, context)
-        if lhs is decisive:
-            return decisive
-        if lhs is not None and lhs is not conjunction:
+        if lhs is True:
+            return True
+        if lhs is not None and lhs is not False:
             _as_boolean(lhs)
         rhs = right(row, context)
-        if rhs is decisive:
-            return decisive
-        if rhs is not None and rhs is not conjunction:
+        if rhs is True:
+            return True
+        if rhs is not None and rhs is not False:
             _as_boolean(rhs)
-        return None if lhs is None or rhs is None else conjunction
-    return logical
+        return None if lhs is None or rhs is None else False
+    return disjunction
 
 
 def _values_equal(left: Any, right: Any) -> bool:
@@ -322,6 +367,24 @@ def _values_equal(left: Any, right: Any) -> bool:
     if isinstance(left, bool) != isinstance(right, bool):
         return False
     return left == right
+
+
+#: ``{key: expected}`` against a stored value (None when missing): ``=``
+#: decides, so ``1`` never matches ``true``; ``null`` matches a missing one.
+map_value_matches = _values_equal
+
+
+def value_test(expected: Any) -> Callable[[Any], bool]:
+    """``actual -> map_value_matches(actual, expected)``, specialised once
+    on the type of ``expected``."""
+    kind = type(expected)
+    if expected is None or kind is bool:
+        return lambda actual: actual is expected
+    if kind is str:
+        return lambda actual: actual == expected
+    if kind is int or kind is float:
+        return lambda actual: actual == expected and actual.__class__ is not bool
+    return lambda actual: map_value_matches(actual, expected)
 
 
 def _ordering(compare: Callable[[Any, Any], bool]) -> Callable[[Any, Any], bool]:

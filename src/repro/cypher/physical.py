@@ -28,7 +28,12 @@ Start operators — how a pattern's candidate set is produced
   index; the pattern is matched outward from the seeked relationships;
 * ``BoundRelationship(r)`` — the relationship the row already binds to
   the pattern's first hop (a trigger's ``NEW``); matched outward like a
-  ``RelIndexSeek`` hit.
+  ``RelIndexSeek`` hit;
+* ``Bound(n)`` — the node the row already binds to the start variable.
+
+Any other node start whose inline map holds only literals and parameters
+tests its candidates with a :class:`ScanFilter` (EXPLAIN shows its pushed
+WHERE equalities as ``filter(...)``).
 
 Pattern operators:
 
@@ -65,17 +70,19 @@ performance but never change results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Union
+from dataclasses import dataclass, field
+from typing import Any, Callable, Mapping, Optional, Union
 
 from ..paths.accelerator import reachability_applicable
 from .ast import (
     Expression,
     NodePattern,
+    Parameter,
     RelationshipPattern,
     expression_text,
     expression_variable_names,
 )
+from .expressions import value_test
 
 #: Access-path kinds, in decreasing priority.
 COMPOSITE = "composite"
@@ -84,6 +91,7 @@ IN_LIST = "in"
 RANGE = "range"
 REL_INDEX = "rel_index"
 BOUND_REL = "bound_rel"
+BOUND = "bound"
 VIRTUAL = "virtual"
 LABEL = "label"
 SCAN = "scan"
@@ -101,6 +109,58 @@ def format_rows(estimate: float) -> str:
 
 def _est(estimate: float) -> str:
     return f" est~{format_rows(estimate)} rows"
+
+
+class ScanFilter:
+    """What a node start tests on each candidate before binding it, built
+    once per plan: the node pattern's inline map (literal and parameter
+    values only), then the WHERE equalities pushed into the scan, in
+    written order.  A pushed conjunct drops a candidate when ``false``, and
+    when ``null`` only if ``whole_where`` (nothing is left for the WHERE
+    to evaluate, and so to raise on)."""
+
+    __slots__ = ("pushed", "_terms")
+
+    def __init__(
+        self,
+        node: NodePattern,
+        pushed: tuple[tuple[str, Expression, Expression], ...] = (),
+        whole_where: bool = False,
+    ) -> None:
+        self.pushed = tuple(conjunct for _, _, conjunct in pushed)
+        mode = "strict" if whole_where else "lenient"
+        terms = [(key, value, "map") for key, value in node.properties]
+        terms += [(key, value, mode) for key, value, _ in pushed]
+        self._terms = tuple(
+            (key, None, value.name, mode) if isinstance(value, Parameter)
+            else (key, _term_test(value.value, mode), None, mode)
+            for key, value, mode in terms
+        )
+
+    def bind(self, parameters: Mapping[str, Any]) -> Optional[list]:
+        """``[(key, test)]`` with the parameters resolved, or None when one
+        is missing: the caller then checks candidates one by one, so the
+        error is raised at the candidate that reaches it."""
+        tests = []
+        for key, test, name, mode in self._terms:
+            if name is not None:
+                if name not in parameters:
+                    return None
+                test = _term_test(parameters[name], mode)
+            if test is not None:
+                tests.append((key, test))
+        return tests
+
+
+def _term_test(expected: Any, mode: str) -> Optional[Callable[[Any], bool]]:
+    """A map entry's (``map``) or a pushed conjunct's test; None for a
+    conjunct that can never drop a candidate."""
+    if expected is None and mode != "map":
+        return (lambda actual: False) if mode == "strict" else None
+    test = value_test(expected)
+    if mode == "lenient":
+        return lambda actual: actual is None or test(actual)
+    return test
 
 
 @dataclass(frozen=True)
@@ -142,6 +202,8 @@ class AccessPath:
     descending: bool = False
     #: Planner cardinality estimate for this operator's output.
     estimated_rows: float = 0.0
+    #: The candidate test of a node start (see :class:`ScanFilter`).
+    filter: Optional[ScanFilter] = field(default=None, compare=False, repr=False)
 
     def reads(self) -> frozenset[str]:
         """Row variables the start's value expressions read.
@@ -158,31 +220,28 @@ class AccessPath:
 
     def describe(self) -> str:
         """One-line human-readable rendering (used by EXPLAIN output)."""
+        pushed = ""
+        if self.filter is not None and self.filter.pushed:
+            pushed = " filter(" + " AND ".join(
+                expression_text(conjunct) for conjunct in self.filter.pushed
+            ) + ")"
+        estimate = "" if self.kind == VIRTUAL else _est(self.estimated_rows)
+        return self._operator() + estimate + pushed
+
+    def _operator(self) -> str:
         if self.kind == COMPOSITE:
             pairs = ", ".join(
                 f"{prop} = {expression_text(value)}"
                 for prop, value in zip(self.properties, self.values)
             )
-            return (
-                f"CompositeIndexSeek({self.label}({pairs}))"
-                + _est(self.estimated_rows)
-            )
+            return f"CompositeIndexSeek({self.label}({pairs}))"
         if self.kind == ORDERED:
             order = "DESC" if self.descending else "ASC"
-            return (
-                f"OrderedIndexScan({self.label}.{self.property} {order})"
-                + _est(self.estimated_rows)
-            )
+            return f"OrderedIndexScan({self.label}.{self.property} {order})"
         if self.kind == INDEX:
-            return (
-                f"IndexSeek({self.label}.{self.property} = "
-                f"{expression_text(self.value)})" + _est(self.estimated_rows)
-            )
+            return f"IndexSeek({self.label}.{self.property} = {expression_text(self.value)})"
         if self.kind == IN_LIST:
-            return (
-                f"IndexSeek({self.label}.{self.property} IN "
-                f"{expression_text(self.value)})" + _est(self.estimated_rows)
-            )
+            return f"IndexSeek({self.label}.{self.property} IN {expression_text(self.value)})"
         if self.kind == RANGE:
             parts = []
             if self.lower is not None:
@@ -195,22 +254,18 @@ class AccessPath:
                 parts.append(
                     f"{self.label}.{self.property} {op} {expression_text(self.upper)}"
                 )
-            return "IndexRangeSeek(" + " AND ".join(parts) + ")" + _est(self.estimated_rows)
+            return "IndexRangeSeek(" + " AND ".join(parts) + ")"
         if self.kind == REL_INDEX:
-            return (
-                f"RelIndexSeek({self.rel_type}.{self.property} = "
-                f"{expression_text(self.value)})" + _est(self.estimated_rows)
-            )
+            return f"RelIndexSeek({self.rel_type}.{self.property} = {expression_text(self.value)})"
         if self.kind == BOUND_REL:
-            return (
-                f"BoundRelationship({expression_text(self.value)})"
-                + _est(self.estimated_rows)
-            )
+            return f"BoundRelationship({expression_text(self.value)})"
+        if self.kind == BOUND:
+            return f"Bound({expression_text(self.value)})"
         if self.kind == VIRTUAL:
             return f"VirtualLabelScan({self.label})"
         if self.kind == LABEL:
-            return "LabelScan(" + "|".join(self.labels) + ")" + _est(self.estimated_rows)
-        return "AllNodesScan" + _est(self.estimated_rows)
+            return "LabelScan(" + "|".join(self.labels) + ")"
+        return "AllNodesScan"
 
 
 @dataclass(frozen=True)

@@ -94,7 +94,7 @@ import threading
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, replace as _dc_replace
-from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Optional, Union
+from typing import Callable, Collection, Iterable, NamedTuple, Optional, Union
 
 from ..graph.statistics import (
     DEFAULT_SELECTIVITY,
@@ -125,6 +125,7 @@ from .ast import (
     UnwindClause,
     Variable,
     WithClause,
+    conjuncts,
     expression_text,
     expression_variable_names,
     walk_expression,
@@ -133,6 +134,7 @@ from .functions import is_aggregate_function
 from .lexer import Token, tokenize
 from .parser import parse_expression, parse_query
 from .physical import (
+    BOUND,
     BOUND_REL,
     COMPOSITE,
     IN_LIST,
@@ -144,6 +146,7 @@ from .physical import (
     SCAN,
     VIRTUAL,
     AccessPath,
+    ScanFilter,
     Aggregate,
     CartesianProduct,
     Filter,
@@ -492,10 +495,12 @@ def plan_query(
             if any(external):
                 sargable = _SargablePredicates()
 
+            pushed, whole_where = _scan_pushdown(clause)
+
             def plan_at(index: int, bound: set[str], nodes: set[str]) -> PatternPlan:
                 plan = _plan_pattern(
                     clause.patterns[index], sargable, graph, virtual, indexes, estimator,
-                    not any(external), bound, nodes, rels,
+                    not any(external), bound, nodes, rels, pushed, whole_where,
                 )
                 return plan if clause.where is None else _with_filtered_rows(plan, clause.where)
 
@@ -598,6 +603,8 @@ def _plan_pattern(
     bound: Collection[str] = frozenset(),
     nodes: Collection[str] = frozenset(),
     rels: Collection[str] = frozenset(),
+    pushed: tuple = (),
+    whole_where: bool = False,
 ) -> PatternPlan:
     if not allow_index:
         # Scans-only planning for clauses with evaluation-order-dependent
@@ -662,6 +669,17 @@ def _plan_pattern(
         anchored = _bound_relationship_start(pattern, rels, can_reverse)
         if anchored is not None:
             chosen_elements, chosen_path, is_reversed = anchored
+    start = chosen_elements[0]
+    if chosen_path.kind not in (REL_INDEX, BOUND_REL):
+        if start.variable in bound:
+            # The executor starts at the row's node, whatever a scan would be.
+            chosen_path = AccessPath(
+                kind=BOUND, value=Variable(name=start.variable), estimated_rows=1.0
+            )
+        elif all(isinstance(expr, (Literal, Parameter)) for _, expr in start.properties):
+            chosen_path = _dc_replace(
+                chosen_path, filter=ScanFilter(start, pushed, whole_where)
+            )
     physical, estimated = physical_chain(
         chosen_path,
         chosen_elements,
@@ -906,7 +924,8 @@ def _order_patterns(
     (returns None) and keep their written order.
 
     A nested-loop step whose other end is bound to a node by now is
-    re-planned by ``plan_at``, in ``clause_plans``, to start there.
+    re-planned by ``plan_at``, in ``clause_plans``, to start there; one
+    whose start is bound by now is re-planned to show it as ``Bound``.
     """
     for plan in clause_plans:
         if _pattern_has_external_reads(plan.pattern, bound_before):
@@ -962,11 +981,10 @@ def _order_patterns(
                 clause_plans[best], best, variables[best] & bound,
                 prior_rows, estimates[best],
             )
-            elements = clause_plans[best].elements
-            if (
-                operator is None
-                and elements[0].variable not in bound
-                and elements[-1].variable in nodes
+            first, last = (clause_plans[best].elements[i].variable for i in (0, -1))
+            if operator is None and (
+                (first not in bound and last in nodes)  # start at the bound end
+                or (first in bound and last not in bound)  # the start is bound
             ):
                 clause_plans[best] = plan_at(best, bound, nodes)
         step_cost = max(effective_cost(best), 1.0)  # before bound absorbs it
@@ -1003,7 +1021,7 @@ def _hash_join_keys(
     if where is None:
         return ()
     keys: list[tuple[Expression, Expression]] = []
-    for conjunct in _conjuncts(where):
+    for conjunct in conjuncts(where):
         if not (isinstance(conjunct, BinaryOp) and conjunct.op == "="):
             continue
         left_names = expression_variable_names(conjunct.left)
@@ -1077,7 +1095,7 @@ def _with_filtered_rows(plan: PatternPlan, where: Expression) -> PatternPlan:
     """
     names = _pattern_variable_names(plan.pattern)
     selectivity = 1.0
-    for conjunct in _conjuncts(where):
+    for conjunct in conjuncts(where):
         used = expression_variable_names(conjunct)
         if not used or not used <= names:
             continue  # cross-pattern or constant conjunct: not this pattern's
@@ -1358,7 +1376,7 @@ def _sargable_predicates(
     result = _SargablePredicates(outer=frozenset(outer))
     if where is None:
         return result
-    for conjunct in _conjuncts(where):
+    for conjunct in conjuncts(where):
         if not isinstance(conjunct, BinaryOp):
             continue
         if conjunct.op == "=":
@@ -1411,6 +1429,32 @@ def _sargable_predicates(
 def _is_sargable_access(expr: Expression) -> bool:
     """``var.prop`` — the only left-hand shape index seeks understand."""
     return isinstance(expr, PropertyAccess) and isinstance(expr.subject, Variable)
+
+
+def _scan_pushdown(clause: MatchClause) -> tuple[tuple, bool]:
+    """``((key, value, conjunct), …)`` a lone node's scan tests before
+    binding, and whether that is the whole WHERE: only the leading
+    ``n.k = literal|$param`` conjuncts (an earlier one could raise first),
+    and only for a MATCH of one single-node pattern (elsewhere, dropping a
+    start candidate would skip later elements whose maps may raise)."""
+    elements = clause.patterns[0].elements
+    if clause.where is None or len(clause.patterns) != 1 or len(elements) != 1:
+        return (), False
+    chain, pushed = conjuncts(clause.where), []
+    for conjunct in chain:
+        if isinstance(conjunct, BinaryOp) and conjunct.op == "=":
+            access, value = conjunct.left, conjunct.right
+            if not _is_sargable_access(access):
+                access, value = value, access
+            if (
+                _is_sargable_access(access)
+                and access.subject.name == elements[0].variable
+                and isinstance(value, (Literal, Parameter))
+            ):
+                pushed.append((access.key, value, conjunct))
+                continue
+        break
+    return tuple(pushed), len(pushed) == len(chain)
 
 
 # ---------------------------------------------------------------------------
@@ -1534,6 +1578,7 @@ def _apply_ordered_scan(
         property=prop,
         descending=sort_item.descending,
         estimated_rows=plans[0].estimated_rows,
+        filter=plans[0].start.filter,
     )
     new_plan = _dc_replace(plans[0], start=path, physical=(path,))
     early = projection.mode == TOPK and all(
@@ -1597,14 +1642,6 @@ def _safe_projection(expr: Expression) -> bool:
     if isinstance(expr, PropertyAccess) and isinstance(expr.subject, Variable):
         return True
     return False
-
-
-def _conjuncts(expr: Expression) -> Iterator[Expression]:
-    if isinstance(expr, BinaryOp) and expr.op == "AND":
-        yield from _conjuncts(expr.left)
-        yield from _conjuncts(expr.right)
-    else:
-        yield expr
 
 
 def _reverse_elements(

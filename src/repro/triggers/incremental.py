@@ -63,7 +63,7 @@ from ..cypher.ast import (
     walk_expression,
 )
 from ..cypher.executor import contains_aggregate
-from ..cypher.expressions import EvaluationContext, evaluate
+from ..cypher.expressions import EvaluationContext, evaluate, map_value_matches
 from ..graph.delta import OP_CREATE_NODE, OP_DELETE_NODE
 from ..graph.model import Node
 from ..graph.store import OP_BULK, PropertyGraph
@@ -125,7 +125,7 @@ class _ViewClause:
             if label not in node.labels:
                 return False
         for key, value in self.property_filters:
-            if node.properties.get(key) != value:
+            if not map_value_matches(node.properties.get(key), value):
                 return False
         return True
 

@@ -294,3 +294,88 @@ class TestCompileCache:
         assert evaluate(expr, {}, context) == 51
         context.parameters = {"threshold": 7}
         assert evaluate(expr, {}, context) == 8
+
+
+class TestCompiledShapes:
+    """The compiler fuses the hot shapes: ``var.key`` reads the row in one
+    closure, an AND chain is one n-ary Kleene closure, and ``=`` on two
+    values of the same plain type compares them directly."""
+
+    def test_variable_property_reads_the_row_without_the_variable_closure(self, graph, context):
+        from repro.cypher.expressions import compile_expression
+
+        node = graph.create_node(["N"], {"k": 7})
+        expr = parse_expression("n.k")
+
+        def unused(row, context):
+            raise AssertionError("the variable closure ran")
+
+        object.__setattr__(expr.subject, "_compiled", unused)
+        assert compile_expression(expr)({"n": node}, context) == 7
+        assert compile_expression(expr)({"n": None}, context) is None
+        assert compile_expression(expr)({"n": {"k": 3}}, context) == 3
+        with pytest.raises(CypherTypeError):
+            compile_expression(expr)({"n": 5}, context)
+        # A name the row lacks still resolves as the variable would.
+        with pytest.raises(AssertionError, match="variable closure"):
+            compile_expression(expr)({}, context)
+        # ... so does a parameter of that name.
+        with_map = EvaluationContext(graph=graph, parameters={"cfg": {"k": 4}})
+        assert run("cfg.k", {}, with_map) == 4
+        with pytest.raises(CypherRuntimeError, match="unknown variable"):
+            run("m.k", {}, context)
+
+    def test_and_chain_is_one_closure_evaluated_left_to_right(self, context):
+        from repro.cypher.expressions import compile_expression
+
+        expr = parse_expression("a AND (b AND c) AND d")
+        compiled = compile_expression(expr)
+        assert compiled.__name__ == "conjunction"
+        assert not hasattr(expr.left, "_compiled")  # nested ANDs are flattened
+        row = {"a": True, "b": True, "c": True, "d": True}
+        assert compiled(row, context) is True
+        assert compiled({**row, "c": None}, context) is None
+        assert compiled({**row, "c": None, "d": False}, context) is False
+        with pytest.raises(CypherTypeError):
+            compiled({**row, "b": 1}, context)
+
+    def test_and_short_circuits_on_false_but_not_on_null(self, context):
+        assert run("false AND 1 / 0 = 1", context=context) is False
+        assert run("true AND false AND 1 / 0 = 1", context=context) is False
+        with pytest.raises(CypherRuntimeError, match="division by zero"):
+            run("null AND 1 / 0 = 1", context=context)
+        with pytest.raises(CypherRuntimeError, match="division by zero"):
+            run("true AND null AND 1 / 0 = 1", context=context)
+        assert run("null AND true", context=context) is None
+        assert run("null AND false", context=context) is False
+
+    def test_equality_fast_path_keeps_the_equality_rules(self, context):
+        cases = {
+            "'a' = 'a'": True,
+            "'a' = 'b'": False,
+            "2 = 2": True,
+            "2.5 = 2.5": True,
+            "1 = 1.0": True,
+            "1 = true": False,
+            "true = true": True,
+            "'1' = 1": False,
+            "null = 1": None,
+            "[1, 2] = [1, 2]": True,
+        }
+        for text, expected in cases.items():
+            assert run(text, context=context) is expected, text
+        assert run("0.0 / 0 = 0.0 / 0", context=context) is False
+
+
+class TestInlineMapRule:
+    def test_map_value_matches(self):
+        from repro.cypher.expressions import map_value_matches, value_test
+
+        cases = [
+            (1, 1, True), (True, 1, False), (1, True, False), (1.0, 1, True),
+            (None, None, True), (None, 1, False), (0, None, False),
+            ("a", "a", True), ("a", None, False), ([1], [1], True), (False, 0, False),
+        ]
+        for actual, expected, result in cases:
+            assert map_value_matches(actual, expected) is result, (actual, expected)
+            assert bool(value_test(expected)(actual)) is result, (actual, expected)

@@ -95,6 +95,28 @@ EQUIVALENCE_CORPUS = [
         "MATCH (p:Person {age: a.age})-[:KNOWS]->(q) RETURN p.name AS name",
         None,
     ),
+    # A lone node's leading WHERE equalities are tested in its scan (or on
+    # its seek's candidates): pushed in part, in whole, with nulls.
+    ("MATCH (p:Person) WHERE p.age = 30 AND p.name <> 'carol' RETURN p.name AS name", None),
+    (
+        "MATCH (p:Person) WHERE p.nickname = 'al' AND p.age = $age RETURN p.name AS name",
+        {"age": 30},
+    ),
+    (
+        "MATCH (p:Person) WHERE p.nickname = $nick AND p.age = 40 RETURN p.name AS name",
+        {"nick": None},
+    ),
+    ("MATCH (p:Person {nickname: null}) WHERE p.age = 40 RETURN p.name AS name", None),
+    ("MATCH (p:Person) WHERE p.age = 30.0 RETURN p.name AS name", None),
+    ("MATCH (p:Person) WHERE p.age = true RETURN p.name AS name", None),
+    (
+        "OPTIONAL MATCH (p:Person) WHERE p.name = $name AND p.age = 99 RETURN p.name AS name",
+        {"name": "bob"},
+    ),
+    (
+        "MATCH (p:Person) WHERE p.name = 'nobody' AND p.age = $missing RETURN p.name AS name",
+        None,
+    ),
 ]
 
 

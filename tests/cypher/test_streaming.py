@@ -24,6 +24,21 @@ def stream_rows(graph, query, **kwargs):
     return list(records)
 
 
+def _count_candidates(monkeypatch) -> list[int]:
+    """Ids of the nodes the MATCH scans hand on, counted at the one
+    scan-and-filter operator."""
+    checked: list[int] = []
+    original = QueryExecutor._candidate_nodes
+
+    def counting(self, *args, **kwargs):
+        for node, bindings in original(self, *args, **kwargs):
+            checked.append(node.id)
+            yield node, bindings
+
+    monkeypatch.setattr(QueryExecutor, "_candidate_nodes", counting)
+    return checked
+
+
 class TestStreamingPipeline:
     def test_stream_matches_eager_execution(self, graph):
         queries = [
@@ -53,14 +68,7 @@ class TestStreamingPipeline:
                                    parameters={"s": -3}, eager=True)
 
     def test_limit_terminates_scan_early(self, graph, monkeypatch):
-        checked: list[int] = []
-        original = QueryExecutor._node_satisfies
-
-        def counting(self, node_pattern, node, row):
-            checked.append(node.id)
-            return original(self, node_pattern, node, row)
-
-        monkeypatch.setattr(QueryExecutor, "_node_satisfies", counting)
+        checked = _count_candidates(monkeypatch)
         rows = stream_rows(graph, "MATCH (p:Person) RETURN p.seq AS seq LIMIT 2")
         assert [row["seq"] for row in rows] == [0, 1]
         # Streaming stops pulling candidates once LIMIT is satisfied: far
@@ -132,14 +140,7 @@ class TestSingleNodeScan:
     def test_where_raises_at_the_same_candidate_as_eager(self, graph, monkeypatch):
         from repro.cypher.errors import CypherRuntimeError
 
-        checked: list[int] = []
-        original = QueryExecutor._node_satisfies
-
-        def counting(self, node_pattern, node, row):
-            checked.append(node.id)
-            return original(self, node_pattern, node, row)
-
-        monkeypatch.setattr(QueryExecutor, "_node_satisfies", counting)
+        checked = _count_candidates(monkeypatch)
         query = "MATCH (p:Person) WHERE 10 / (p.seq - 5) > 0 RETURN p.seq AS seq"
         seen = []
         for options in ({}, {"eager": True}):

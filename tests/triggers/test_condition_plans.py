@@ -71,7 +71,10 @@ def test_zone_watch_condition_starts_at_new(plans):
     tick(session, [970.0])  # one activation
     conditions = [p for p in plans if "Expand(-[:At]->(:Station))" in p]
     assert len(conditions) == 2
-    assert all(p.startswith("start=(NEW) ") for p in conditions), conditions
+    assert all(
+        p.startswith("start=(NEW) Bound(NEW) est~1 rows -> Expand(-[:At]->(:Station))")
+        for p in conditions
+    ), conditions
     assert session.graph.count_nodes_with_label("ZoneSpike") == 3
 
 

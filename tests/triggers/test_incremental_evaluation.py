@@ -101,6 +101,22 @@ class TestThreeWayEquivalence:
         assert view is not None and view.invariant
         assert view.stats["product_reuses"] > 0
 
+    def test_inline_map_keeps_integers_and_booleans_apart(self):
+        trigger = (
+            "CREATE TRIGGER Enabled AFTER CREATE ON 'Reading' FOR EACH NODE "
+            "WHEN MATCH (c:Config {enabled: 1}) "
+            "BEGIN CREATE (:Passed {value: NEW.value}) END"
+        )
+        workload = [
+            ("CREATE (:Config {enabled: true})", None),
+            ("UNWIND range(1, 3) AS i CREATE (:Reading {value: i})", None),
+            ("CREATE (:Config {enabled: 1.0})", None),
+            ("CREATE (:Reading {value: 9})", None),
+        ]
+        _, _, incremental = run_triple([trigger], workload)
+        assert incremental.graph.count_nodes_with_label("Passed") == 1
+        assert incremental.engine.incremental_stats["incremental_activations"] >= 4
+
     def test_multi_clause_join_condition(self):
         trigger = (
             "CREATE TRIGGER Pair AFTER CREATE ON 'Event' FOR EACH NODE "
