@@ -112,17 +112,17 @@ def perf_trigger_overhead(trigger_counts=(0, 1, 4, 16, 64), statements: int = 15
     return result
 
 
-def perf_cascading(depths=(1, 2, 4, 8, 12), repeats: int = 5) -> ExperimentResult:
+def perf_cascading(depths=(1, 2, 4, 8, 12)) -> ExperimentResult:
     """P2 — cascading chains of increasing length, with the static analysis verdict.
 
-    Each depth's time is the median of ``repeats`` runs, each in a fresh
-    session, after one untimed warm-up run: the work is sub-millisecond,
-    so a single timing can be flipped by one pause.
+    Each depth's time is the median of five runs, each in a fresh session,
+    after one untimed warm-up run: the work is sub-millisecond, so a
+    single timing can be flipped by one pause.
     """
     result = ExperimentResult("P2", "P2 — cascading depth: runtime cost and termination analysis")
     for depth in depths:
         timings = []
-        for attempt in range(repeats + 1):
+        for attempt in range(6):  # the first run warms up
             session = GraphSession(clock=_CLOCK, max_cascade_depth=depth + 2)
             for level in range(depth):
                 session.create_trigger(

@@ -278,26 +278,21 @@ def _plan_estimate(graph, query: str) -> Optional[float]:
     """The plan's final row estimate for a single-MATCH workload query.
 
     The WHERE-corrected ``filtered_rows`` when the planner computed one,
-    the raw pattern estimate otherwise; a multi-pattern clause multiplies
-    the standalone estimates its ``JoinOrder`` line shows (a join step
-    that starts at a variable an earlier step bound is planned per bound
-    row, so its own pattern plan estimates one row's expansion).  ``None``
-    when the query has no planned pattern.
+    the raw pattern estimate otherwise; multi-pattern clauses multiply a
+    join step's estimate into the running product the way the join-order
+    cost model does.  ``None`` when the query has no planned pattern.
     """
     _, plan = PLAN_CACHE.get(query, graph)
     plans = plan.pattern_plans()
     if not plans:
         return None
-    estimates = [rows for order in plan.join_orders() for rows in order.estimated_rows]
-    if not estimates:
-        estimates = [
+    estimate = 1.0
+    for pattern_plan in plans:
+        rows = (
             pattern_plan.filtered_rows
             if pattern_plan.filtered_rows is not None
             else pattern_plan.estimated_rows
-            for pattern_plan in plans
-        ]
-    estimate = 1.0
-    for rows in estimates:
+        )
         estimate *= max(rows, 1.0)
     return estimate
 

@@ -105,11 +105,7 @@ from .ast import (
 )
 from .errors import CypherError, CypherRuntimeError, CypherTypeError, UnsupportedFeatureError
 from .expressions import (
-    EvaluationContext,
-    compile_expression,
-    compile_map_entries,
-    evaluate,
-    map_value_matches,
+    EvaluationContext, compile_expression, compile_map_entries, evaluate, map_value_matches,
 )
 from .functions import AGGREGATE_FUNCTIONS, is_aggregate_function
 from .physical import HashJoin, JoinOperator
@@ -494,7 +490,6 @@ class QueryExecutor:
     # ------------------------------------------------------------------
 
     def _iter_match(self, clause: MatchClause, rows: Iterator[dict]) -> Iterator[dict]:
-        """All bindings the input rows produce for a MATCH clause, lazily."""
         steps = self._match_steps(clause)
         single = steps[0][0] if len(steps) == 1 else None
         where = None if clause.where is None else compile_expression(clause.where)
@@ -659,7 +654,7 @@ class QueryExecutor:
         return list(self._iter_pattern(pattern, row))
 
     def _iter_pattern(self, pattern: PathPattern, row: dict) -> Iterator[dict]:
-        """Every way of matching ``pattern`` from ``row``, lazily."""
+        """Lazily yield every way of matching ``pattern`` from ``row``."""
         if self.memoize_match and not any(
             name in self.memoize_skip_variables
             for name in self._pattern_dependencies(pattern)
@@ -760,8 +755,7 @@ class QueryExecutor:
         return dependencies
 
     def _iter_pattern_live(self, pattern: PathPattern, row: dict) -> Iterator[dict]:
-        """Uncached matching of ``pattern`` against the live graph, lazily
-        (the start is chosen now, its candidates are pulled on demand)."""
+        """Uncached matching of ``pattern`` against the live graph."""
         elements = pattern.elements
         access: AccessPath | None = None
         if self._plan is not None:
@@ -1301,10 +1295,8 @@ class QueryExecutor:
     ) -> Iterator[tuple[Node, dict]]:
         """Yield (node, updated bindings) pairs satisfying ``node_pattern``.
 
-        The one scan-and-filter operator: a variable the row binds yields
-        that node only (bound to null, nothing); other candidates meet the
-        start's :class:`ScanFilter` before a binding row is copied, or,
-        without one (or with a parameter missing), :meth:`_node_satisfies`.
+        A variable the row binds yields that node only; bound to null, it
+        yields nothing.
         """
         variable = node_pattern.variable
         if variable is not None and variable in row:
@@ -1330,8 +1322,8 @@ class QueryExecutor:
         virtual = self.virtual_labels
         for node in nodes:
             properties = node.properties
-            for key, test in tests:
-                if not test(properties.get(key)):
+            for key, test, missing in tests:
+                if not test(properties.get(key, missing)):
                     break
             else:
                 if others and not all(
@@ -1352,12 +1344,12 @@ class QueryExecutor:
     ) -> tuple[Iterable[Node], str | None]:
         """Pick the cheapest starting candidate set for a node pattern.
 
-        Returns the candidates and the label a label scan guarantees (or
-        None).  A planned access path is advisory: every candidate it
-        produces is still checked against the pattern (and any WHERE
-        clause), so an index path can only narrow the candidate set, never
-        change the result.  When the index is gone or the looked-up value
-        is null the path degrades to the unplanned logic below.
+        A planned access path is advisory: every candidate it produces is
+        still checked against the pattern (and any WHERE clause), so an
+        index path can only narrow the candidate set, never change the
+        result.  When the index is gone or the looked-up value is null the
+        path degrades to the unplanned logic below.  Also returns the
+        label a label scan guarantees.
         """
         hit = None
         if access is not None and access.kind == INDEX:
@@ -1501,7 +1493,6 @@ class QueryExecutor:
             return None
 
     def _node_satisfies(self, node_pattern: NodePattern, node: Node, row: dict) -> bool:
-        """Labels, then the inline map in written order, on one candidate."""
         for label in node_pattern.labels:
             if label in self.virtual_labels:
                 if node.id not in self.virtual_labels[label]:
@@ -1510,9 +1501,8 @@ class QueryExecutor:
                 return False
         if node_pattern.properties:
             context = self._context()
-            properties = node.properties
             for key, value in compile_map_entries(node_pattern):
-                if not map_value_matches(properties.get(key), value(row, context)):
+                if not map_value_matches(node.properties.get(key), value(row, context)):
                     return False
         return True
 
@@ -1580,11 +1570,10 @@ class QueryExecutor:
             )
             if not virtual_hit and rel.type not in rel_pattern.types:
                 return False
-        if rel_pattern.properties:
-            context = self._context()
-            for key, value in compile_map_entries(rel_pattern):
-                if not map_value_matches(rel.properties.get(key), value(bindings, context)):
-                    return False
+        for key, expr in rel_pattern.properties:
+            expected = self._evaluate(expr, bindings)
+            if not map_value_matches(rel.properties.get(key), expected):
+                return False
         return True
 
     # ------------------------------------------------------------------

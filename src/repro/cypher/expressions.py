@@ -131,10 +131,9 @@ def compile_map_entries(pattern: Any) -> tuple[tuple[str, Compiled], ...]:
     try:
         return pattern._entries
     except AttributeError:
-        pass
-    entries = tuple((key, compile_expression(expr)) for key, expr in pattern.properties)
-    object.__setattr__(pattern, "_entries", entries)
-    return entries
+        entries = tuple((key, compile_expression(expr)) for key, expr in pattern.properties)
+        object.__setattr__(pattern, "_entries", entries)
+        return entries
 
 
 def _failing(error: type[Exception], message: str) -> Compiled:
@@ -231,8 +230,7 @@ def _aggregate_value(expr: Expression, context: EvaluationContext) -> Any:
 
 def _compile_property(expr: PropertyAccess) -> Compiled:
     subject, key = compile_expression(expr.subject), expr.key
-    # ``var.key`` reads the row itself, the hot shape of every WHERE; any
-    # other subject (or a name the row lacks) goes through ``subject``.
+    # ``var.key`` reads the row itself; anything else goes through ``subject``.
     name = expr.subject.name if isinstance(expr.subject, Variable) else None
     def property_access(row, context):
         value = row[name] if name in row else subject(row, context)
@@ -286,12 +284,10 @@ def _as_boolean(value: Any) -> bool:
 
 def _compile_binary(expr: BinaryOp) -> Compiled:
     if expr.op == "AND":
-        return _compile_conjunction(
-            tuple(compile_expression(operand) for operand in conjuncts(expr))
-        )
+        return _compile_conjunction(tuple(map(compile_expression, conjuncts(expr))))
     op, left, right = expr.op, compile_expression(expr.left), compile_expression(expr.right)
     if op == "OR":
-        return _compile_or(left, right)
+        return _compile_and_or(False, left, right)
     if op == "XOR":
         def exclusive(row, context):
             lhs = left(row, context)
@@ -343,22 +339,24 @@ def _compile_conjunction(operands: tuple[Compiled, ...]) -> Compiled:
     return conjunction
 
 
-def _compile_or(left: Compiled, right: Compiled) -> Compiled:
-    """Kleene OR.  An operand that is neither a boolean nor null raises as
-    soon as it is evaluated, and a true left operand skips the right one."""
-    def disjunction(row, context):
+def _compile_and_or(conjunction: bool, left: Compiled, right: Compiled) -> Compiled:
+    """Kleene AND (``conjunction``) or OR.  An operand that is neither a
+    boolean nor null raises as soon as it is evaluated, and the right
+    operand is skipped when the left one decides the result."""
+    decisive = not conjunction  # False decides an AND, True an OR
+    def logical(row, context):
         lhs = left(row, context)
-        if lhs is True:
-            return True
-        if lhs is not None and lhs is not False:
+        if lhs is decisive:
+            return decisive
+        if lhs is not None and lhs is not conjunction:
             _as_boolean(lhs)
         rhs = right(row, context)
-        if rhs is True:
-            return True
-        if rhs is not None and rhs is not False:
+        if rhs is decisive:
+            return decisive
+        if rhs is not None and rhs is not conjunction:
             _as_boolean(rhs)
-        return None if lhs is None or rhs is None else False
-    return disjunction
+        return None if lhs is None or rhs is None else conjunction
+    return logical
 
 
 def _values_equal(left: Any, right: Any) -> bool:
@@ -369,14 +367,12 @@ def _values_equal(left: Any, right: Any) -> bool:
     return left == right
 
 
-#: ``{key: expected}`` against a stored value (None when missing): ``=``
-#: decides, so ``1`` never matches ``true``; ``null`` matches a missing one.
+#: ``{key: expected}`` on a stored value: ``1`` is not ``true``, ``null`` is missing.
 map_value_matches = _values_equal
 
 
 def value_test(expected: Any) -> Callable[[Any], bool]:
-    """``actual -> map_value_matches(actual, expected)``, specialised once
-    on the type of ``expected``."""
+    """``actual -> map_value_matches(actual, expected)``, typed once."""
     kind = type(expected)
     if expected is None or kind is bool:
         return lambda actual: actual is expected

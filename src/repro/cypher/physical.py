@@ -31,10 +31,6 @@ Start operators — how a pattern's candidate set is produced
   ``RelIndexSeek`` hit;
 * ``Bound(n)`` — the node the row already binds to the start variable.
 
-Any other node start whose inline map holds only literals and parameters
-tests its candidates with a :class:`ScanFilter` (EXPLAIN shows its pushed
-WHERE equalities as ``filter(...)``).
-
 Pattern operators:
 
 * :class:`Expand` — one fixed relationship hop of a path pattern;
@@ -112,55 +108,45 @@ def _est(estimate: float) -> str:
 
 
 class ScanFilter:
-    """What a node start tests on each candidate before binding it, built
-    once per plan: the node pattern's inline map (literal and parameter
-    values only), then the WHERE equalities pushed into the scan, in
-    written order.  A pushed conjunct drops a candidate when ``false``, and
-    when ``null`` only if ``whole_where`` (nothing is left for the WHERE
-    to evaluate, and so to raise on)."""
+    """What a node start tests on each candidate before binding it: its
+    static inline map, then the WHERE equalities pushed into the scan
+    (EXPLAIN's ``filter(...)``), in written order.  A pushed conjunct drops
+    a candidate only when ``false``: on ``null`` the WHERE may still raise."""
 
     __slots__ = ("pushed", "_terms")
 
-    def __init__(
-        self,
-        node: NodePattern,
-        pushed: tuple[tuple[str, Expression, Expression], ...] = (),
-        whole_where: bool = False,
-    ) -> None:
+    def __init__(self, node: NodePattern, pushed: tuple = ()) -> None:
         self.pushed = tuple(conjunct for _, _, conjunct in pushed)
-        mode = "strict" if whole_where else "lenient"
-        terms = [(key, value, "map") for key, value in node.properties]
-        terms += [(key, value, mode) for key, value, _ in pushed]
+        terms = [(key, value, False) for key, value in node.properties]
+        terms += [(key, value, True) for key, value, _ in pushed]
         self._terms = tuple(
-            (key, None, value.name, mode) if isinstance(value, Parameter)
-            else (key, _term_test(value.value, mode), None, mode)
-            for key, value, mode in terms
+            (key, value.name, lenient, None, None) if isinstance(value, Parameter)
+            else (key, None, lenient, *_term_test(value.value, lenient))
+            for key, value, lenient in terms
         )
 
     def bind(self, parameters: Mapping[str, Any]) -> Optional[list]:
-        """``[(key, test)]`` with the parameters resolved, or None when one
-        is missing: the caller then checks candidates one by one, so the
-        error is raised at the candidate that reaches it."""
+        """``[(key, test, missing)]``, passed when ``test(properties.get(key, missing))``;
+        None when a parameter is missing (the caller then raises per candidate)."""
         tests = []
-        for key, test, name, mode in self._terms:
+        for key, name, lenient, test, missing in self._terms:
             if name is not None:
                 if name not in parameters:
                     return None
-                test = _term_test(parameters[name], mode)
+                test, missing = _term_test(parameters[name], lenient)
             if test is not None:
-                tests.append((key, test))
+                tests.append((key, test, missing))
         return tests
 
 
-def _term_test(expected: Any, mode: str) -> Optional[Callable[[Any], bool]]:
-    """A map entry's (``map``) or a pushed conjunct's test; None for a
-    conjunct that can never drop a candidate."""
-    if expected is None and mode != "map":
-        return (lambda actual: False) if mode == "strict" else None
+def _term_test(expected: Any, lenient: bool) -> tuple[Optional[Callable[[Any], bool]], Any]:
+    """``(test, missing)`` for a map entry, or (``lenient``) a pushed conjunct,
+    which keeps a candidate lacking the key by reading it as ``expected`` (the
+    store holds no nulls); a pushed ``= null`` or NaN (not equal to itself) tests nothing."""
     test = value_test(expected)
-    if mode == "lenient":
-        return lambda actual: actual is None or test(actual)
-    return test
+    if not lenient:
+        return test, None
+    return (test, expected) if expected is not None and test(expected) else (None, None)
 
 
 @dataclass(frozen=True)
@@ -184,7 +170,8 @@ class AccessPath:
     #: depends on the pattern's own variables.
     value: Optional[Expression] = None
     #: Candidate real labels for a ``label`` scan (the executor picks the
-    #: most selective one at run time, so counts never go stale).
+    #: most selective one at run time, so counts never go stale); a ``bound``
+    #: start's are those the clause gives its variable.
     labels: tuple[str, ...] = ()
     #: Range bounds (``range`` only); ``None`` means unbounded on that side.
     lower: Optional[Expression] = None
@@ -220,11 +207,8 @@ class AccessPath:
 
     def describe(self) -> str:
         """One-line human-readable rendering (used by EXPLAIN output)."""
-        pushed = ""
-        if self.filter is not None and self.filter.pushed:
-            pushed = " filter(" + " AND ".join(
-                expression_text(conjunct) for conjunct in self.filter.pushed
-            ) + ")"
+        pushed = self.filter.pushed if self.filter is not None else ()
+        pushed = " filter(" + " AND ".join(map(expression_text, pushed)) + ")" if pushed else ""
         estimate = "" if self.kind == VIRTUAL else _est(self.estimated_rows)
         return self._operator() + estimate + pushed
 
@@ -611,7 +595,8 @@ def physical_chain(
                 )
             )
             continue
-        factor = estimator.expansion_factor(rel.types)
+        labels = start.labels if start.kind == BOUND and index == 1 else ()
+        factor = estimator.expansion_factor(rel.types, labels)  # from a bound start's label
         hops = rel.min_hops if rel.min_hops is not None else 1
         estimate *= factor ** max(int(hops), 1)
         if node.labels:

@@ -94,7 +94,7 @@ import threading
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, replace as _dc_replace
-from typing import Callable, Collection, Iterable, NamedTuple, Optional, Union
+from typing import Callable, Collection, Iterable, Mapping, NamedTuple, Optional, Union
 
 from ..graph.statistics import (
     DEFAULT_SELECTIVITY,
@@ -495,14 +495,21 @@ def plan_query(
             if any(external):
                 sargable = _SargablePredicates()
 
-            pushed, whole_where = _scan_pushdown(clause)
+            pushed = _scan_pushdown(clause)
+            labelled = {  # node variable -> the labels the clause gives it
+                node.variable: node.labels
+                for pattern in clause.patterns for node in pattern.elements[::2] if node.labels
+            }
+            before = frozenset(bound)
 
             def plan_at(index: int, bound: set[str], nodes: set[str]) -> PatternPlan:
                 plan = _plan_pattern(
                     clause.patterns[index], sargable, graph, virtual, indexes, estimator,
-                    not any(external), bound, nodes, rels, pushed, whole_where,
+                    not any(external), bound, nodes, rels, pushed, labelled,
                 )
-                return plan if clause.where is None else _with_filtered_rows(plan, clause.where)
+                if clause.where is None:
+                    return plan
+                return _with_filtered_rows(plan, clause.where, bound - before)
 
             clause_plans = [plan_at(i, bound, nodes) for i in range(len(clause.patterns))]
             if clause.where is not None:
@@ -604,7 +611,7 @@ def _plan_pattern(
     nodes: Collection[str] = frozenset(),
     rels: Collection[str] = frozenset(),
     pushed: tuple = (),
-    whole_where: bool = False,
+    labelled: Mapping[str, tuple[str, ...]] = {},
 ) -> PatternPlan:
     if not allow_index:
         # Scans-only planning for clauses with evaluation-order-dependent
@@ -674,12 +681,11 @@ def _plan_pattern(
         if start.variable in bound:
             # The executor starts at the row's node, whatever a scan would be.
             chosen_path = AccessPath(
-                kind=BOUND, value=Variable(name=start.variable), estimated_rows=1.0
+                kind=BOUND, value=Variable(name=start.variable), estimated_rows=1.0,
+                labels=start.labels or labelled.get(start.variable, ()),
             )
         elif all(isinstance(expr, (Literal, Parameter)) for _, expr in start.properties):
-            chosen_path = _dc_replace(
-                chosen_path, filter=ScanFilter(start, pushed, whole_where)
-            )
+            chosen_path = _dc_replace(chosen_path, filter=ScanFilter(start, pushed))
     physical, estimated = physical_chain(
         chosen_path,
         chosen_elements,
@@ -924,8 +930,8 @@ def _order_patterns(
     (returns None) and keep their written order.
 
     A nested-loop step whose other end is bound to a node by now is
-    re-planned by ``plan_at``, in ``clause_plans``, to start there; one
-    whose start is bound by now is re-planned to show it as ``Bound``.
+    re-planned by ``plan_at``, in ``clause_plans``, to start there (a
+    start bound by now is re-planned too, to show it as ``Bound``).
     """
     for plan in clause_plans:
         if _pattern_has_external_reads(plan.pattern, bound_before):
@@ -1083,22 +1089,24 @@ def _connected_hash_join(
     )
 
 
-def _with_filtered_rows(plan: PatternPlan, where: Expression) -> PatternPlan:
+def _with_filtered_rows(plan: PatternPlan, where: Expression, applied: set) -> PatternPlan:
     """Correct a pattern's estimate by the WHERE conjuncts it re-filters.
 
     The access path already consumed the sargable conjunct that seeded it;
     every *other* conjunct reading only this pattern's variables still runs
     per candidate row, so the rows surviving the clause filter are fewer
-    than the match estimate.  EXPLAIN surfaces both numbers and join
-    ordering ranks by the corrected one.  Purely advisory — estimates
+    than the match estimate.  A conjunct reading only ``applied``
+    variables (bound by earlier join steps) was counted where they were
+    bound.  EXPLAIN surfaces both numbers and join ordering ranks by the
+    corrected one.  Purely advisory — estimates
     steer plans, never results.
     """
     names = _pattern_variable_names(plan.pattern)
     selectivity = 1.0
     for conjunct in conjuncts(where):
         used = expression_variable_names(conjunct)
-        if not used or not used <= names:
-            continue  # cross-pattern or constant conjunct: not this pattern's
+        if not used or not used <= names or used <= applied:
+            continue  # another pattern's, a constant, or counted by an earlier step
         if _start_consumes(conjunct, plan):
             continue
         selectivity *= _conjunct_selectivity(conjunct)
@@ -1431,17 +1439,16 @@ def _is_sargable_access(expr: Expression) -> bool:
     return isinstance(expr, PropertyAccess) and isinstance(expr.subject, Variable)
 
 
-def _scan_pushdown(clause: MatchClause) -> tuple[tuple, bool]:
-    """``((key, value, conjunct), …)`` a lone node's scan tests before
-    binding, and whether that is the whole WHERE: only the leading
-    ``n.k = literal|$param`` conjuncts (an earlier one could raise first),
-    and only for a MATCH of one single-node pattern (elsewhere, dropping a
-    start candidate would skip later elements whose maps may raise)."""
+def _scan_pushdown(clause: MatchClause) -> tuple:
+    """``((key, value, conjunct), …)`` a lone node's scan tests first: the
+    leading ``n.k = literal|$param`` conjuncts (a later one could be
+    preceded by one that raises), only for a MATCH of one single-node
+    pattern (elsewhere a dropped start skips later maps that may raise)."""
     elements = clause.patterns[0].elements
     if clause.where is None or len(clause.patterns) != 1 or len(elements) != 1:
-        return (), False
-    chain, pushed = conjuncts(clause.where), []
-    for conjunct in chain:
+        return ()
+    pushed = []
+    for conjunct in conjuncts(clause.where):
         if isinstance(conjunct, BinaryOp) and conjunct.op == "=":
             access, value = conjunct.left, conjunct.right
             if not _is_sargable_access(access):
@@ -1454,7 +1461,7 @@ def _scan_pushdown(clause: MatchClause) -> tuple[tuple, bool]:
                 pushed.append((access.key, value, conjunct))
                 continue
         break
-    return tuple(pushed), len(pushed) == len(chain)
+    return tuple(pushed)
 
 
 # ---------------------------------------------------------------------------

@@ -280,14 +280,17 @@ class CardinalityEstimator:
 
     # -- relationship-level estimates -----------------------------------
 
-    def expansion_factor(self, rel_types: Iterable[str] = ()) -> float:
+    def expansion_factor(self, rel_types: Iterable[str] = (), labels: tuple = ()) -> float:
         """Expected neighbours reached by expanding one relationship hop.
 
         With types given, only relationships of those types count.  Every
         relationship is traversable from both endpoints, hence the factor
-        of two over the raw count.
+        of two over the raw count.  From a node known to carry ``labels``
+        (that the store counts), every counted relationship is taken to
+        touch one such node instead.
         """
-        nodes = self.node_cardinality()
+        labelled = self.label_cardinality(labels) if labels else 0.0
+        nodes = labelled or self.node_cardinality()
         if nodes <= 0:
             return 0.0
         types = tuple(rel_types)
@@ -295,7 +298,7 @@ class CardinalityEstimator:
             rels = sum(self._type_count(rel_type) for rel_type in types)
         else:
             rels = self._call("relationship_count", 0)
-        return 2.0 * float(rels) / nodes
+        return (1.0 if labelled else 2.0) * float(rels) / nodes
 
     def pattern_cardinality(self, start_rows: float, elements: Sequence) -> float:
         """Expected rows of matching a path pattern given its start estimate.

@@ -54,6 +54,9 @@ PUSHDOWN_CASES = [
     # A null pushed conjunct (nick missing on seq 0, 4, 8) cannot drop the
     # candidate while a later conjunct is still evaluated: seq 8 raises.
     ("MATCH (p:Person) WHERE p.nick = 'n1' AND 10 / (p.seq - 8) > 0 RETURN p.seq AS s", None),
+    # ... nor can one whose value equals nothing, itself included (NaN).
+    ("MATCH (p:Person) WHERE p.nick = $nan AND 10 / (p.seq - 8) > 0 RETURN p.seq AS s",
+     {"nan": float("nan")}),
     # A missing parameter in a conjunct never reached, then one reached.
     ("MATCH (p:Person) WHERE p.flag = 7 AND p.seq = $missing RETURN p.seq AS s", None),
     ("MATCH (p:Person) WHERE p.flag = 1 AND p.seq = $missing RETURN p.seq AS s", None),
@@ -232,3 +235,26 @@ class TestBoundStart:
         lines = executor.last_plan.plan_description().splitlines()
         assert lines[1].startswith("start=(a) Bound(a) est~1 rows"), lines
         assert "filter(" not in lines[1]
+
+    def test_bound_step_estimates_one_row_of_its_label(self):
+        # A join step re-planned to start at a node an earlier step bound
+        # expands from one Item (4 BOUGHT over 2 Items, 8 of 20 nodes are
+        # Persons: 2 * 0.4), not from the mean node, and does not count
+        # ``i.cat = 1`` again: the step that bound ``i`` already did.
+        g = PropertyGraph()
+        items = [g.create_node(["Item"], {"cat": k}) for k in (1, 2)]
+        people = [g.create_node(["Person"], {"grp": k % 2}) for k in range(8)]
+        for k in range(10):
+            g.create_node(["Part"], {})
+        for k in range(4):
+            g.create_relationship("BOUGHT", people[k].id, items[k % 2].id)
+        text = explain(
+            "MATCH (p:Person)-[:BOUGHT]->(i:Item), (q:Person)-[:BOUGHT]->(i) "
+            "WHERE i.cat = 1 AND p.grp = 0 RETURN count(*) AS n",
+            g,
+        )
+        lines = text.splitlines()
+        assert lines[1] == (
+            "start=(i) Bound(i) est~1 rows -> Expand(<-[:BOUGHT]-(:Person)) "
+            "est~0.8 rows (reversed)"
+        ), text
