@@ -46,12 +46,14 @@ test-triggers:
 
 ## The Cypher suite alone: lexer/parser, expression, planner and executor
 ## units (streaming, the projection-stage contracts of STREAM/TOPK/SORT/
-## AGGREGATE/WILDCARD, physical operators, paths, plan cache) plus the
-## property-based join-ordering, parser round-trip and streaming-vs-eager
-## differentials, the anchor differential (initial-row anchors == UNWIND)
-## and index == no-index for seeks on bound values.
+## AGGREGATE/WILDCARD, physical operators, the expand's contract, paths,
+## plan cache) plus the property-based join-ordering, parser round-trip and
+## streaming-vs-eager differentials, the anchor differential (initial-row
+## anchors == UNWIND), index == no-index for seeks on bound values, and the
+## graph store it reads (tests/graph: typed adjacency == filtered
+## relationships, histograms, statistics).
 test-cypher:
-	$(PYTHON) -m pytest tests/cypher tests/test_join_ordering_properties.py tests/test_properties.py -q
+	$(PYTHON) -m pytest tests/cypher tests/graph tests/test_join_ordering_properties.py tests/test_properties.py -q
 
 ## Static checks (requires ruff: `pip install ruff`; CI installs it).
 lint:

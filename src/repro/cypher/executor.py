@@ -59,7 +59,7 @@ import datetime as _dt
 import heapq
 import itertools
 from dataclasses import replace as _dc_replace
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from ..graph.errors import NodeNotFoundError
@@ -781,6 +781,8 @@ class QueryExecutor:
         assert isinstance(first, NodePattern)
         candidates = self._candidate_nodes(first, row, access)
         if len(elements) == 1 and pattern.variable is None:
+            if first.variable in row:  # a bound start yields the row itself
+                return (dict(bindings) for _, bindings in candidates)
             return map(itemgetter(1), candidates)  # a lone node: its bindings
         return itertools.chain.from_iterable(
             self._extend_path(
@@ -865,7 +867,6 @@ class QueryExecutor:
                     existing = bindings.get(rel_pattern.variable)
                     if existing is not None and not _same_item(existing, rel):
                         continue
-                    bindings = dict(bindings)
                     bindings[rel_pattern.variable] = rel
                 end_node = self.graph.node(end_id)
                 target_bindings = self._bind_node(node_second, end_node, bindings)
@@ -1049,10 +1050,9 @@ class QueryExecutor:
         pattern: PathPattern,
     ) -> Iterator[dict]:
         if index >= len(elements):
-            final = dict(bindings)
             if pattern.variable is not None:
-                final[pattern.variable] = Path(path_nodes, path_rels)
-            yield final
+                bindings = {**bindings, pattern.variable: Path(path_nodes, path_rels)}
+            yield bindings
             return
         rel_pattern = elements[index]
         node_pattern = elements[index + 1]
@@ -1064,13 +1064,14 @@ class QueryExecutor:
                 used_rels, path_nodes, path_rels, pattern,
             )
             return
+        # Nothing after a path's last hop reads the used set or the path.
+        last = index + 2 >= len(elements) and pattern.variable is None
         for rel in self._candidate_relationships(rel_pattern, current_node, bindings):
             if rel.id in used_rels:
                 continue
-            other_id = rel.other_end(current_node.id)
-            if not self.graph.has_node(other_id):
+            other = self.graph.node_or_none(rel.other_end(current_node.id))
+            if other is None:
                 continue
-            other = self.graph.node(other_id)
             new_bindings = self._bind_node(node_pattern, other, bindings)
             if new_bindings is None:
                 continue
@@ -1079,8 +1080,10 @@ class QueryExecutor:
                     new_bindings[rel_pattern.variable], rel
                 ):
                     continue
-                new_bindings = dict(new_bindings)
                 new_bindings[rel_pattern.variable] = rel
+            if last:
+                yield new_bindings
+                continue
             yield from self._extend_path(
                 elements, index + 2, other, new_bindings, used_rels | {rel.id},
                 path_nodes + [other], path_rels + [rel], pattern,
@@ -1182,16 +1185,18 @@ class QueryExecutor:
         hops: list[Relationship] = []
         trail: list[Node] = []
         visited: set[int] = set()
+        last = index + 2 >= len(elements) and pattern.variable is None
 
         def emit(node: Node) -> Iterator[dict]:
             target_bindings = self._bind_node(node_pattern, node, bindings)
             if target_bindings is None:
                 return iter(())
-            final_bindings = dict(target_bindings)
             if rel_pattern.variable is not None:
-                final_bindings[rel_pattern.variable] = list(hops)
+                target_bindings[rel_pattern.variable] = list(hops)
+            if last:
+                return iter((target_bindings,))
             return self._extend_path(
-                elements, index + 2, node, final_bindings, used_rels | visited,
+                elements, index + 2, node, target_bindings, used_rels | visited,
                 path_nodes + trail, path_rels + list(hops), pattern,
             )
 
@@ -1214,10 +1219,9 @@ class QueryExecutor:
             for rel in candidates:
                 if rel.id in visited or rel.id in used_rels:
                     continue
-                other_id = rel.other_end(node.id)
-                if not self.graph.has_node(other_id):
+                other = self.graph.node_or_none(rel.other_end(node.id))
+                if other is None:
                     continue
-                other = self.graph.node(other_id)
                 hops.append(rel)
                 trail.append(other)
                 visited.add(rel.id)
@@ -1295,8 +1299,8 @@ class QueryExecutor:
     ) -> Iterator[tuple[Node, dict]]:
         """Yield (node, updated bindings) pairs satisfying ``node_pattern``.
 
-        A variable the row binds yields that node only; bound to null, it
-        yields nothing.
+        A variable the row binds yields that node only, with the row itself
+        rather than a copy; bound to null, it yields nothing.
         """
         variable = node_pattern.variable
         if variable is not None and variable in row:
@@ -1307,7 +1311,7 @@ class QueryExecutor:
                 raise CypherTypeError(f"variable {variable!r} is not bound to a node")
             refreshed = self.graph.node(bound.id) if self.graph.has_node(bound.id) else bound
             if self._node_satisfies(node_pattern, refreshed, row):
-                yield refreshed, dict(row)
+                yield refreshed, row  # a hop's _bind_node copies it
             return
         nodes, scanned = self._scan_nodes(node_pattern, row, access)
         tests = None
@@ -1530,29 +1534,46 @@ class QueryExecutor:
         bindings: dict,
         ignore_bound: bool = False,
     ) -> list[Relationship]:
+        """The relationships a hop from ``node`` may take, in id order.
+
+        Typed adjacency guarantees endpoint, direction and type; only a bound
+        relationship and a virtual (transition) type are checked for them.
+        """
         variable = rel_pattern.variable
-        if (
-            not ignore_bound
-            and variable is not None
-            and bindings.get(variable) is not None
-            and isinstance(bindings[variable], Relationship)
-        ):
-            candidates = [bindings[variable]]
-            if self.graph.has_relationship(candidates[0].id):
-                candidates = [self.graph.relationship(candidates[0].id)]
-        else:
-            direction = {"out": "out", "in": "in", "both": "both"}[rel_pattern.direction]
-            try:
-                candidates = self.graph.relationships_of(node.id, direction=direction)
-            except NodeNotFoundError:
-                # A node deleted earlier in the transaction has no relationships.
-                return []
-        result = []
-        for rel in candidates:
-            if not self._relationship_satisfies(rel_pattern, rel, node, bindings):
-                continue
-            result.append(rel)
-        return result
+        bound = bindings.get(variable) if variable is not None and not ignore_bound else None
+        direction = rel_pattern.direction
+        types = rel_pattern.types
+        virtual = self.virtual_labels
+        checked = isinstance(bound, Relationship) or (
+            bool(virtual) and any(t in virtual for t in types)
+        )
+        try:
+            if isinstance(bound, Relationship):
+                candidates = [self.graph.relationship_or_none(bound.id) or bound]
+            elif checked or not types:
+                candidates = self.graph.relationships_of(node.id, direction)
+            elif len(types) == 1:
+                candidates = self.graph.relationships_of(node.id, direction, types[0])
+            else:  # [:A|B]: one list per type, merged in id order
+                candidates = sorted(
+                    (rel for rel_type in dict.fromkeys(types)
+                     for rel in self.graph.relationships_of(node.id, direction, rel_type)),
+                    key=attrgetter("id"),
+                )
+        except NodeNotFoundError:
+            # A node deleted earlier in the transaction has no relationships.
+            return []
+        if checked:
+            return [
+                rel for rel in candidates
+                if self._relationship_satisfies(rel_pattern, rel, node, bindings)
+            ]
+        if rel_pattern.properties:
+            return [
+                rel for rel in candidates
+                if self._relationship_map_matches(rel_pattern, rel, bindings)
+            ]
+        return candidates
 
     def _relationship_satisfies(
         self, rel_pattern: RelationshipPattern, rel: Relationship, node: Node, bindings: dict
@@ -1570,6 +1591,11 @@ class QueryExecutor:
             )
             if not virtual_hit and rel.type not in rel_pattern.types:
                 return False
+        return self._relationship_map_matches(rel_pattern, rel, bindings)
+
+    def _relationship_map_matches(
+        self, rel_pattern: RelationshipPattern, rel: Relationship, bindings: dict
+    ) -> bool:
         for key, expr in rel_pattern.properties:
             expected = self._evaluate(expr, bindings)
             if not map_value_matches(rel.properties.get(key), expected):

@@ -920,22 +920,20 @@ def _order_patterns(
     layout.  The order is advisory: patterns of one MATCH clause are a
     commutative conjunction, so any order produces the same row *set*.
 
-    Exception: a pattern whose inline property map *reads* a variable
-    that neither an earlier clause nor a *preceding element of the same
-    pattern* binds (``(b:B {x: a.y})``, or ``(b:B {y: a.z})-[:R]->(a)``
-    where ``a`` comes from a sibling pattern) is evaluation-order
-    dependent — running it before the sibling binding the variable would
-    raise instead of producing the same rows, and whether it is reached
-    at all can depend on its clause position.  Such clauses are declined
-    (returns None) and keep their written order.
+    Exception: a pattern with an inline map value that may raise (see
+    :func:`_map_may_raise`) is evaluation-order dependent.  One reading a
+    sibling pattern's variable (``(b:B {x: a.y})``, or ``(b:B {y:
+    a.z})-[:R]->(a)``) raises when run before the sibling binds it, and
+    ``(s:L {z: 1/0})`` joined first raises even where the written order
+    finds no row to evaluate it on.  Such clauses are declined (returns
+    None) and keep their written order.
 
     A nested-loop step whose other end is bound to a node by now is
     re-planned by ``plan_at``, in ``clause_plans``, to start there (a
     start bound by now is re-planned too, to show it as ``Bound``).
     """
-    for plan in clause_plans:
-        if _pattern_has_external_reads(plan.pattern, bound_before):
-            return None
+    if any(_map_may_raise(plan.pattern, nodes_before) for plan in clause_plans):
+        return None
     variables = [_pattern_variable_names(plan.pattern) for plan in clause_plans]
     # Rank (and report) by the WHERE-corrected estimate where one exists:
     # a pattern whose rows the WHERE decimates should be joined early.
@@ -1201,6 +1199,29 @@ def _pattern_has_external_reads(pattern: PathPattern, bound_before: set[str]) ->
                 return True
         if element.variable is not None:
             available.add(element.variable)
+    return False
+
+
+def _map_may_raise(pattern: PathPattern, nodes_before: set[str]) -> bool:
+    """May evaluating one of the pattern's inline map values raise?
+
+    Literals and parameters cannot, nor can a property read of a name that
+    holds a node or null: one in ``nodes_before``, or a preceding node or
+    single-relationship element of the pattern.  Anything else may.
+    """
+    entities = set(nodes_before)
+    for element in pattern.elements:
+        for _, expr in element.properties:
+            if not isinstance(expr, (Literal, Parameter)) and not (
+                isinstance(expr, PropertyAccess)
+                and isinstance(expr.subject, Variable)
+                and expr.subject.name in entities
+            ):
+                return True
+        if element.variable is not None and not (
+            isinstance(element, RelationshipPattern) and element.is_variable_length
+        ):
+            entities.add(element.variable)
     return False
 
 

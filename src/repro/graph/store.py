@@ -15,14 +15,17 @@ Design notes
 * A label index is maintained for nodes (by label) and relationships (by
   type); an optional exact-match property index can be declared per
   (label, property) pair.
-* Adjacency is kept as two ``node id -> set of relationship ids`` maps
-  (outgoing and incoming), so expanding a pattern from a bound node is
-  proportional to its degree rather than to the graph size.
+* Adjacency is kept as two ``node id -> {type -> ids}`` maps (outgoing and
+  incoming), so expanding a typed pattern from a bound node reads only that
+  type's ids: one bare id, or an ascending list of two or more (a list per
+  lone id adds two small allocations between the property maps scans read).
+  A node without relationships in a direction has no entry there.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, insort
 from typing import Any, Iterable, Iterator, Mapping, Optional
 
 from .errors import (
@@ -81,8 +84,8 @@ class PropertyGraph:
         #: Declared reachability accelerators, one per relationship type
         #: (see :mod:`repro.paths.accelerator`); rebuilt lazily on use.
         self._reachability: dict[str, ReachabilityIndex] = {}
-        self._outgoing: dict[int, set[int]] = {}
-        self._incoming: dict[int, set[int]] = {}
+        self._outgoing: dict[int, dict[str, list[int]]] = {}
+        self._incoming: dict[int, dict[str, list[int]]] = {}
         self._index_epoch = 0
         self.plan_token = next(_PLAN_TOKENS)
         #: Optional callback ``(action, kind, label, prop)`` invoked after
@@ -248,7 +251,12 @@ class PropertyGraph:
         direction: str = BOTH,
         rel_type: str | None = None,
     ) -> list[Relationship]:
-        """Relationships attached to ``node_id``.
+        """Relationships attached to ``node_id``, in ascending id order.
+
+        A typed call in one direction reads that type's ids as they are
+        (no union, sort or filter); a typed ``"both"`` call reads both sides
+        and merges them only when both hold the type; an untyped call merges
+        every type of the direction(s).  A self-loop appears once.
 
         Args:
             node_id: the anchor node.
@@ -257,19 +265,30 @@ class PropertyGraph:
         """
         if node_id not in self._nodes:
             raise NodeNotFoundError(node_id)
-        rel_ids: set[int] = set()
-        if direction in (OUTGOING, BOTH):
-            rel_ids |= self._outgoing.get(node_id, set())
-        if direction in (INCOMING, BOTH):
-            rel_ids |= self._incoming.get(node_id, set())
-        rels = [self._relationships[i] for i in sorted(rel_ids)]
-        if rel_type is not None:
-            rels = [r for r in rels if r.type == rel_type]
-        return rels
+        relationships = self._relationships
+        return [relationships[i] for i in self._adjacent_ids(node_id, direction, rel_type)]
+
+    def _adjacent_ids(self, node_id: int, direction: str, rel_type: str | None) -> list[int]:
+        """Ascending ids of the relationships :meth:`relationships_of` returns."""
+        lists: list = []
+        for side, adjacency in ((OUTGOING, self._outgoing), (INCOMING, self._incoming)):
+            by_type = adjacency.get(node_id) if direction in (side, BOTH) else None
+            if by_type is None:
+                continue
+            for ids in by_type.values() if rel_type is None else [by_type.get(rel_type)]:
+                if ids is not None:
+                    lists.append(ids if type(ids) is list else [ids])
+        if len(lists) <= 1:
+            return lists[0] if lists else []
+        if direction == BOTH:
+            return sorted(set(itertools.chain.from_iterable(lists)))
+        return sorted(itertools.chain.from_iterable(lists))
 
     def degree(self, node_id: int, direction: str = BOTH) -> int:
-        """Number of relationships attached to ``node_id``."""
-        return len(self.relationships_of(node_id, direction))
+        """Number of relationships attached to ``node_id`` (a self-loop once)."""
+        if node_id not in self._nodes:
+            raise NodeNotFoundError(node_id)
+        return len(self._adjacent_ids(node_id, direction, None))
 
     def neighbours(
         self, node_id: int, direction: str = BOTH, rel_type: str | None = None
@@ -602,8 +621,6 @@ class PropertyGraph:
         self._next_node_id = max(self._next_node_id, node_id + 1)
         node = Node(id=node_id, labels=label_set, properties=props)
         self._nodes[node_id] = node
-        self._outgoing.setdefault(node_id, set())
-        self._incoming.setdefault(node_id, set())
         for label in label_set:
             self._node_labels.add(label, node_id)
             for key, value in props.items():
@@ -637,8 +654,8 @@ class PropertyGraph:
         self._next_rel_id = max(self._next_rel_id, rel_id + 1)
         rel = Relationship(id=rel_id, type=rel_type, start=start, end=end, properties=props)
         self._relationships[rel_id] = rel
-        self._outgoing[start].add(rel_id)
-        self._incoming[end].add(rel_id)
+        _link(self._outgoing, start, rel_type, rel_id)
+        _link(self._incoming, end, rel_type, rel_id)
         self._rel_types.add(rel_type, rel_id)
         for key, value in props.items():
             self._rel_property_index.add(rel_type, key, value, rel_id)
@@ -654,14 +671,12 @@ class PropertyGraph:
         and ``detach`` is False.
         """
         node = self.node(node_id)
-        attached = self._outgoing.get(node_id, set()) | self._incoming.get(node_id, set())
+        attached = self._adjacent_ids(node_id, BOTH, None)
         if attached and not detach:
             raise NodeInUseError(node_id, len(attached))
-        for rel_id in sorted(attached):
+        for rel_id in list(attached):  # it may be the list deletion edits
             self.delete_relationship(rel_id)
         del self._nodes[node_id]
-        self._outgoing.pop(node_id, None)
-        self._incoming.pop(node_id, None)
         for label in node.labels:
             self._node_labels.remove(label, node_id)
             for key, value in node.properties.items():
@@ -676,8 +691,8 @@ class PropertyGraph:
         """Delete a relationship, returning its pre-deletion snapshot."""
         rel = self.relationship(rel_id)
         del self._relationships[rel_id]
-        self._outgoing.get(rel.start, set()).discard(rel_id)
-        self._incoming.get(rel.end, set()).discard(rel_id)
+        _unlink(self._outgoing, rel.start, rel.type, rel_id)
+        _unlink(self._incoming, rel.end, rel.type, rel_id)
         self._rel_types.remove(rel.type, rel_id)
         for key, value in rel.properties.items():
             self._rel_property_index.remove(rel.type, key, value, rel_id)
@@ -868,3 +883,39 @@ class PropertyGraph:
             f"PropertyGraph({self.name!r}, nodes={self.node_count()}, "
             f"relationships={self.relationship_count()})"
         )
+
+
+def _link(adjacency: dict, node_id: int, rel_type: str, rel_id: int) -> None:
+    """Add ``rel_id`` to the node's ids for ``rel_type``, keeping them ascending.
+
+    Fresh ids are the highest yet and append; an explicit lower id (a
+    rolled-back deletion re-created, a snapshot loaded) is inserted in place.
+    """
+    by_type = adjacency.get(node_id)
+    if by_type is None:
+        adjacency[node_id] = {rel_type: rel_id}
+        return
+    ids = by_type.get(rel_type)
+    if ids is None:
+        by_type[rel_type] = rel_id
+    elif type(ids) is list:
+        if ids[-1] < rel_id:
+            ids.append(rel_id)
+        else:
+            insort(ids, rel_id)
+    else:
+        by_type[rel_type] = [ids, rel_id] if ids < rel_id else [rel_id, ids]
+
+
+def _unlink(adjacency: dict, node_id: int, rel_type: str, rel_id: int) -> None:
+    """Remove ``rel_id`` from the node's ids, dropping emptied entries."""
+    by_type = adjacency[node_id]
+    ids = by_type[rel_type]
+    if type(ids) is list:
+        del ids[bisect_left(ids, rel_id)]
+        if len(ids) == 1:
+            by_type[rel_type] = ids[0]
+    else:
+        del by_type[rel_type]
+        if not by_type:
+            del adjacency[node_id]

@@ -82,7 +82,13 @@ PATTERN_POOL = [
     # the planner must decline reordering and all variants must agree
     # (on rows, or on raising the same error when `a` is never bound)
     ("(e:B {v: a.v})", ("e",)),
+    # a map value that may raise: joined first it would raise where the
+    # written order finds no row to evaluate it on, so ordering declines
+    ("(s:C {z: 1/0})", ("s",)),
 ]
+
+#: Patterns whose clause keeps its written order.
+DECLINING_PATTERNS = {"(e:B {v: a.v})", "(s:C {z: 1/0})"}
 
 #: WHERE templates keyed by the variables they need.
 WHERE_POOL = [
@@ -239,9 +245,9 @@ class TestJoinOrderingDifferential:
         assert description.count("est~") >= len(choices)
         join_orders = plan.join_orders()
         if not join_orders:
-            # the clause was declined: it must contain the evaluation-order
-            # dependent cross-pattern property reference
-            assert any(PATTERN_POOL[i][0] == "(e:B {v: a.v})" for i in choices)
+            # the clause was declined: it must contain an evaluation-order
+            # dependent map (a cross-pattern reference, a value that may raise)
+            assert any(PATTERN_POOL[i][0] in DECLINING_PATTERNS for i in choices)
             return
         [join_order] = join_orders
         assert sorted(join_order.order) == list(range(len(choices)))
@@ -351,7 +357,7 @@ limit_choice = st.integers(min_value=-1, max_value=5)    # -1 = no LIMIT
 
 
 def build_physical_query(choices, where_index, direction, skip, limit) -> str:
-    patterns = [PATTERN_POOL[i] for i in choices if PATTERN_POOL[i][0] != "(e:B {v: a.v})"]
+    patterns = [PATTERN_POOL[i] for i in choices if PATTERN_POOL[i][0] not in DECLINING_PATTERNS]
     if len(patterns) < 2:
         patterns = [PATTERN_POOL[0], PATTERN_POOL[1]]
     bound: list[str] = []
@@ -440,6 +446,31 @@ def exact_outcome(executor: QueryExecutor, query: str):
         ]
     except CypherError as exc:
         return ("error", type(exc).__name__)
+
+
+class TestMayRaiseMapKeepsWrittenOrder:
+    QUERY = "MATCH (a:A {v: 99}), (s:L {z: 1/0}) RETURN s"
+
+    def graph(self) -> PropertyGraph:
+        graph = PropertyGraph()
+        for value in range(5):
+            graph.create_node(["A"], {"v": value})
+        graph.create_node(["L"], {})
+        return graph
+
+    def test_planned_and_written_order_agree(self):
+        # No :A has v = 99, so the written order never evaluates 1/0.
+        graph = self.graph()
+        assert QueryExecutor(graph).execute(self.QUERY).rows == []
+        assert QueryExecutor(graph, join_ordering=False).execute(self.QUERY).rows == []
+        assert plan_query(parse_query(self.QUERY), graph).join_orders() == []
+
+    def test_reached_value_raises_both_ways(self):
+        graph = self.graph()
+        graph.create_node(["A"], {"v": 99})
+        planned = outcome(QueryExecutor(graph), self.QUERY)
+        written = outcome(QueryExecutor(graph, join_ordering=False), self.QUERY)
+        assert planned == written == ("error", "CypherRuntimeError")
 
 
 class TestDeliberateCartesianProducts:
