@@ -22,14 +22,14 @@ test-storage:
 test-concurrency:
 	$(PYTHON) -m pytest tests/tx tests/integration/test_concurrency_stress.py tests/server -q
 
-## The path-query suite alone: var-length expansion, shortestPath and the
-## reachability accelerator units plus the property-based differential
-## tests (naive == iterative == accelerated) and translator passthrough.
+## The path-query suite alone: var-length expansion and shortestPath units
+## plus the property-based differential tests (naive == iterative, on random
+## multigraphs and forests) and translator passthrough.
 test-paths:
 	$(PYTHON) -m pytest tests/cypher/test_paths.py tests/cypher/test_path_properties.py tests/compat/test_path_passthrough.py -q
 
 ## The optimizer suite alone: composite indexes, histogram estimates,
-## index-backed ORDER BY, connected hash joins and narrow-hop routing,
+## index-backed ORDER BY, connected hash joins and var-length hop windows,
 ## plus the property-based histogram-maintenance and join-ordering tests.
 test-optimizer:
 	$(PYTHON) -m pytest tests/cypher/test_optimizer_v2.py tests/graph/test_histogram_properties.py tests/cypher/test_planner.py tests/test_join_ordering_properties.py -q
@@ -63,7 +63,7 @@ lint:
 ## trigger matching overhead, P2 cascade depth, P5 planner/plan cache, P6
 ## streaming vs eager, P7 batched vs per-activation triggers, P8 physical
 ## operators (range seek / hash join / top-k), P11 path queries
-## (reachability accelerator vs DFS) and the P12 optimizer-torture q-error
+## (bidirectional vs naive shortestPath) and the P12 optimizer-torture q-error
 ## and plan-regret gate against benchmarks/optimizer_baseline.json (the
 ## scored workload lands in BENCH_optimizer_qerror.json).  Timings are
 ## dumped to BENCH_smoke.json; both files are uploaded as CI artifacts.
@@ -92,12 +92,12 @@ batched-triggers-demo:
 physical-operators-demo:
 	$(call PERF_DEMO,perf_physical_operators)
 
-## Print the P11 experiment (reachability accelerator vs DFS, shortestPath).
+## Print the P11 experiment (bidirectional vs naive shortestPath).
 paths-demo:
 	$(call PERF_DEMO,perf_paths)
 
 ## Print the P12 experiment (optimizer torture: per-kind q-error and plan
-## regret, histogram vs one-third heuristic, narrow-hop routing counters).
+## regret, histogram vs one-third heuristic).
 optimizer-demo:
 	$(call PERF_DEMO,perf_optimizer)
 

@@ -13,7 +13,7 @@ matching ``make *-demo`` target.
 * :func:`perf_streaming_limit`   — P6: streaming vs eager MATCH … LIMIT latency
 * :func:`perf_batched_triggers`  — P7: batched vs per-activation trigger evaluation
 * :func:`perf_physical_operators` — P8: range seek / hash join / top-k vs baselines
-* :func:`perf_paths`             — P11: reachability accelerator vs DFS expansion + shortestPath
+* :func:`perf_paths`             — P11: bidirectional-BFS vs naive shortestPath
 * :func:`perf_optimizer`         — P12: optimizer torture: q-error distribution + plan regret
 """
 
@@ -444,28 +444,18 @@ def perf_physical_operators(
 
 
 def perf_paths(nodes: int = 50_000, branching: int = 3, repeats: int = 3) -> ExperimentResult:
-    """P11 — path queries over a 50k-node containment hierarchy.
+    """P11 — shortestPath over a 50k-node containment hierarchy.
 
     The graph is a complete ``branching``-ary PART_OF tree (depth ~9 at
     50k nodes) with a property index on ``pid`` so start/target lookup
-    never dominates the traversal being measured.  Three comparisons:
-
-    * **bound-pair reachability** — ``(root)-[:PART_OF*]->(leaf)`` with
-      both endpoints bound: the DFS route enumerates the whole subtree
-      under the root before the target filter applies, while the
-      reachability index answers with one O(1) interval-containment
-      probe.  This is the accelerator's headline win and must be ≥5x.
-    * **unbound subtree enumeration** — ``(root)-[:PART_OF*]->(x)``:
-      both routes touch every descendant, so the interval scan's win is
-      bounded (no per-path trail bookkeeping); the ratio is reported.
-    * **shortestPath latency** — bidirectional BFS vs the naive
-      enumerator (``naive_paths=True``) on the same bound pair; the
-      backward frontier is the parent chain, so the fast route explores
-      ~depth nodes instead of every rel-unique walk.
-
-    Every comparison asserts identical rows.
+    never dominates the traversal being measured.  One comparison:
+    **shortestPath latency** — bidirectional BFS vs the naive enumerator
+    (``naive_paths=True``) on a bound (root, leaf) pair; the backward
+    frontier is the parent chain, so the fast route explores ~depth nodes
+    instead of every rel-unique walk.  Both routes must return identical
+    rows.
     """
-    result = ExperimentResult("P11", "P11 — path queries: reachability accelerator, shortestPath")
+    result = ExperimentResult("P11", "P11 — path queries: shortestPath")
     graph = PropertyGraph()
     created = [graph.create_node(["Part"], {"pid": 0})]
     while len(created) < nodes:
@@ -482,53 +472,13 @@ def perf_paths(nodes: int = 50_000, branching: int = 3, repeats: int = 3) -> Exp
         probe_index = (probe_index - 1) // branching
         depth += 1
 
-    def best_of(run) -> tuple[float, list[dict]]:
+    def timed_query(query: str, **executor_kwargs) -> tuple[float, list[dict]]:
         timings, rows = [], []
         for _ in range(repeats):
             started = time.perf_counter()
-            rows = run()
+            rows = QueryExecutor(graph, **executor_kwargs).execute(query).rows
             timings.append(time.perf_counter() - started)
         return min(timings), rows
-
-    def timed_query(query: str, **executor_kwargs):
-        return best_of(lambda: QueryExecutor(graph, **executor_kwargs).execute(query).rows)
-
-    # -- bound-pair reachability: DFS vs interval probe -----------------
-    bound_query = (
-        f"MATCH (b:Part {{pid: {leaf_pid}}}) "
-        "MATCH (a:Part {pid: 0})-[:PART_OF*]->(b) "
-        "RETURN b.pid AS pid"
-    )
-    dfs_seconds, dfs_rows = timed_query(bound_query)
-    graph.create_reachability_index("PART_OF")
-    graph.reachability_index("PART_OF").ensure(graph)  # build outside the timer
-    accel_seconds, accel_rows = timed_query(bound_query)
-    assert accel_rows == dfs_rows and len(accel_rows) == 1
-    probe = QueryExecutor(graph)
-    assert "reachability" in probe.plan_description(bound_query)
-    bound_speedup = dfs_seconds / accel_seconds if accel_seconds else float("inf")
-    result.add_row(route="VarLengthExpand (dfs)", comparison="bound-pair reachability",
-                   best_ms=1000 * dfs_seconds, rows=len(dfs_rows))
-    result.add_row(route="ReachabilityIndex probe", comparison="bound-pair reachability",
-                   best_ms=1000 * accel_seconds, rows=len(accel_rows))
-
-    # -- unbound subtree enumeration: DFS vs interval scan --------------
-    subtree_root = branching  # last node of depth 1: its subtree is ~1/b of the tree
-    subtree_query = (
-        f"MATCH (a:Part {{pid: {subtree_root}}})-[:PART_OF*]->(x) "
-        "RETURN count(x) AS n"
-    )
-    graph.drop_reachability_index("PART_OF")
-    scan_dfs_seconds, scan_dfs_rows = timed_query(subtree_query)
-    graph.create_reachability_index("PART_OF")
-    graph.reachability_index("PART_OF").ensure(graph)
-    scan_accel_seconds, scan_accel_rows = timed_query(subtree_query)
-    assert scan_accel_rows == scan_dfs_rows
-    scan_ratio = scan_dfs_seconds / scan_accel_seconds if scan_accel_seconds else float("inf")
-    result.add_row(route="VarLengthExpand (dfs)", comparison="subtree enumeration",
-                   best_ms=1000 * scan_dfs_seconds, rows=scan_dfs_rows[0]["n"])
-    result.add_row(route="ReachabilityIndex scan", comparison="subtree enumeration",
-                   best_ms=1000 * scan_accel_seconds, rows=scan_accel_rows[0]["n"])
 
     # -- shortestPath: bidirectional BFS vs naive enumeration -----------
     shortest_query = (
@@ -539,19 +489,16 @@ def perf_paths(nodes: int = 50_000, branching: int = 3, repeats: int = 3) -> Exp
     naive_seconds, naive_rows = timed_query(shortest_query, naive_paths=True)
     bfs_seconds, bfs_rows = timed_query(shortest_query)
     assert bfs_rows == naive_rows and bfs_rows == [{"len": depth}]
-    assert "ShortestPath(" in probe.plan_description(shortest_query)
+    assert "ShortestPath(" in QueryExecutor(graph).plan_description(shortest_query)
     shortest_speedup = naive_seconds / bfs_seconds if bfs_seconds else float("inf")
     result.add_row(route="naive enumeration", comparison="shortestPath (bound pair)",
                    best_ms=1000 * naive_seconds, rows=len(naive_rows))
     result.add_row(route="bidirectional BFS", comparison="shortestPath (bound pair)",
                    best_ms=1000 * bfs_seconds, rows=len(bfs_rows))
 
-    assert bound_speedup >= 5.0, f"reachability speedup only {bound_speedup:.1f}x"
-    result.note(f"bound-pair reachability speedup (dfs / probe): {bound_speedup:.1f}x")
-    result.note(f"subtree enumeration ratio (dfs / scan): {scan_ratio:.2f}x")
     result.note(f"shortestPath speedup (naive / bidirectional): {shortest_speedup:.1f}x")
     result.note(f"tree: {nodes} nodes, branching {branching}, target depth {depth}")
-    result.note("every comparison returned identical rows")
+    result.note("both routes returned identical rows")
     return result
 
 
@@ -565,10 +512,8 @@ def perf_optimizer(
     median/worst multiplicative estimation error (``est~rows`` vs rows
     actually produced) and the median plan regret (planned execution
     time vs clause-order joins; naive paths and eager only check rows).
-    Two further comparisons are reported: the equi-depth histogram vs the
-    one-third range heuristic on the same skewed range queries, and the
-    reachability accelerator's DFS-vs-interval routing counters for
-    narrow hop windows.
+    One further comparison is reported: the equi-depth histogram vs the
+    one-third range heuristic on the same skewed range queries.
 
     Pass a precomputed ``TortureReport`` via ``report`` to score an
     existing run (the benchmark gate times ``run_torture`` separately
@@ -594,17 +539,12 @@ def perf_optimizer(
     assert report.histogram_range_q_error < report.heuristic_range_q_error, (
         "histogram estimates did not beat the one-third heuristic"
     )
-    assert report.dfs_walks > 0, "no narrow-hop query routed through DFS"
     result.note(f"median q-error over {len(report.cases)} queries: {median:.2f}")
     result.note(f"median plan regret: {report.median_regret():.2f}")
     result.note(
         "skewed range estimates, median q-error: histogram "
         f"{report.histogram_range_q_error:.2f} vs one-third heuristic "
         f"{report.heuristic_range_q_error:.2f}"
-    )
-    result.note(
-        f"narrow-hop routing: {report.dfs_walks} DFS walks, "
-        f"{report.interval_scans} interval scans"
     )
     worst = report.worst_cases(3)
     for case in worst:

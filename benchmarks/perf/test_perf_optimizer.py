@@ -3,10 +3,8 @@
 The acceptance bar: over the seeded randomized workload of :mod:`torture`
 (skewed value distributions, composite predicates, connected joins,
 narrow hop windows), the median q-error of EXPLAIN's ``est~rows`` against
-the rows actually produced must stay ≤ 2, the equi-depth histogram must
-beat the one-third range heuristic on the same skewed range queries, and
-at least one narrow-hop query must route through the accelerator's DFS
-walk.
+the rows actually produced must stay ≤ 2, and the equi-depth histogram
+must beat the one-third range heuristic on the same skewed range queries.
 
 On top of the absolute bars, a regression gate compares the run against
 the committed ``benchmarks/optimizer_baseline.json``: the estimation
@@ -41,7 +39,7 @@ def test_perf_optimizer(benchmark, assert_result):
     ARTIFACT_PATH.write_text(json.dumps(report.to_dict(), indent=2) + "\n")
 
     # perf_optimizer scores the report and enforces the absolute bars:
-    # median q-error ≤ 2, histogram < one-third heuristic, dfs_walks > 0.
+    # median q-error ≤ 2, histogram < one-third heuristic.
     result = perf_optimizer(report=report)
     assert_result(result, "P12", min_rows=7)
     assert {row["kind"] for row in result.rows} >= {

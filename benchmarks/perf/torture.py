@@ -26,8 +26,8 @@ are reproducible and regressions attributable.  The graph deliberately
 mixes distributions the heuristics get wrong — a quadratically skewed
 property where the one-third range heuristic misses by an order of
 magnitude (the histogram fixes it), low-cardinality pairs where only the
-composite index is selective, and a deep containment tree where narrow
-hop windows reward DFS routing over interval scans.
+composite index is selective, and a deep containment tree under narrow
+var-length hop windows.
 
 Used by the P12 experiment (:func:`experiments.perf_optimizer`), the
 ``test_perf_optimizer.py`` regression gate next to this file and ``make
@@ -96,9 +96,6 @@ class TortureReport:
     #: queries the histogram answered (histogram vs heuristic).
     heuristic_range_q_error: float = 0.0
     histogram_range_q_error: float = 0.0
-    #: Accelerator routing counters after the narrow-hop segment.
-    dfs_walks: int = 0
-    interval_scans: int = 0
 
     def median_q_error(self) -> float:
         return _statistics.median(case.q_error for case in self.cases)
@@ -127,8 +124,6 @@ class TortureReport:
             "median_regret": self.median_regret(),
             "heuristic_range_q_error": self.heuristic_range_q_error,
             "histogram_range_q_error": self.histogram_range_q_error,
-            "dfs_walks": self.dfs_walks,
-            "interval_scans": self.interval_scans,
             "cases": [case.to_dict() for case in self.cases],
         }
 
@@ -151,8 +146,8 @@ def build_torture_graph(seed: int = 0) -> PropertyGraph:
     * ``Item`` — ``cat`` uniform over 6 values with an equality index;
       ``Person -BOUGHT-> Item`` edges concentrate on a popular minority
       of items (skewed expansion factors).
-    * ``Part`` — a 3-ary containment tree (``CHILD``) with a reachability
-      index, deep enough that narrow hop windows reward DFS routing.
+    * ``Part`` — a 3-ary containment tree (``CHILD``), deep enough that a
+      2-hop window sees a small share of it.
     """
     rng = random.Random(seed)
     graph = PropertyGraph(name=f"torture-{seed}")
@@ -199,7 +194,6 @@ def build_torture_graph(seed: int = 0) -> PropertyGraph:
     graph.create_composite_index("Person", ("grp", "tier"))
     graph.create_property_index("Item", "cat")
     graph.create_property_index("Part", "pid")
-    graph.create_reachability_index("CHILD")
     return graph
 
 
@@ -251,7 +245,7 @@ def torture_workload(seed: int = 0, cases_per_kind: int = 6) -> list[tuple[str, 
                 "RETURN count(*) AS n",
             )
         )
-        # Narrow hop window over the containment tree (DFS routing).
+        # Narrow hop window over the containment tree.
         start = rng.randrange(1, 40)
         workload.append(
             (
@@ -302,7 +296,6 @@ def run_torture(
 ) -> TortureReport:
     """Score the seeded workload: q-error per query, regret vs baselines."""
     graph = build_torture_graph(seed)
-    graph.reachability_index("CHILD").ensure(graph)  # build outside timers
     report = TortureReport(seed=seed)
     heuristic_errors: list[float] = []
     histogram_errors: list[float] = []
@@ -355,9 +348,6 @@ def run_torture(
 
     report.heuristic_range_q_error = _statistics.median(heuristic_errors)
     report.histogram_range_q_error = _statistics.median(histogram_errors)
-    accelerator = graph.reachability_index("CHILD")
-    report.dfs_walks = accelerator.dfs_walks
-    report.interval_scans = accelerator.interval_scans
     return report
 
 

@@ -65,12 +65,7 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequenc
 from ..graph.errors import NodeNotFoundError
 from ..graph.model import Node, Relationship
 from ..graph.store import PropertyGraph
-from ..paths import (
-    Path,
-    bidirectional_shortest,
-    reachability_applicable,
-    single_source_shortest,
-)
+from ..paths import Path, bidirectional_shortest, single_source_shortest
 from ..tx.transaction import Transaction
 from .ast import (
     CallClause,
@@ -223,8 +218,8 @@ class QueryExecutor:
         #: live path instead of filling the memo with dead entries.
         self.memoize_skip_variables = frozenset(memoize_skip_variables)
         #: Force the recursive path enumerator (and per-start shortest-path
-        #: enumeration) instead of the iterative/accelerated routes.  The
-        #: differential property suites treat this executor as ground truth.
+        #: enumeration) instead of the iterative routes.  The differential
+        #: property suites treat this executor as ground truth.
         self.naive_paths = naive_paths
         self.last_statistics = QueryStatistics()
         self._plan: QueryPlan | None = None
@@ -1093,37 +1088,22 @@ class QueryExecutor:
         self, rel_pattern, node_pattern, elements, index, current_node, bindings,
         used_rels, path_nodes, path_rels, pattern,
     ) -> Iterator[dict]:
-        """Dispatch one ``-[:T*min..max]-`` hop to the best applicable route.
+        """Dispatch one ``-[:T*min..max]-`` hop to its route.
 
-        All three routes produce identical rows in identical order (the
-        naive recursive enumerator's DFS preorder, candidates in
-        relationship-id order); the differential property suites hold them
-        to that.  ``naive_paths=True`` pins the recursive ground truth;
-        otherwise the iterative walk runs, upgraded to a reachability-index
-        interval scan when :func:`repro.paths.accelerator
-        .reachability_applicable` says the declared index covers the hop
-        and the lazily rebuilt encoding did not decline.
+        Both routes produce identical rows in identical order (the naive
+        recursive enumerator's DFS preorder, candidates in relationship-id
+        order); the differential property suites hold them to that.
+        ``naive_paths=True`` pins the recursive ground truth; otherwise the
+        iterative walk runs.
         """
         min_hops = rel_pattern.min_hops if rel_pattern.min_hops is not None else 1
         max_hops = rel_pattern.max_hops if rel_pattern.max_hops is not None else self.max_hops
-        if not self.naive_paths:
-            rel_type = reachability_applicable(
-                self.graph, pattern, rel_pattern, elements, index, self.virtual_labels
-            )
-            if rel_type is not None:
-                accelerator = self.graph.reachability_index(rel_type)
-                if accelerator is not None and accelerator.ensure(self.graph):
-                    yield from self._expand_reachability(
-                        accelerator, rel_pattern, node_pattern, current_node,
-                        bindings, min_hops, max_hops,
-                    )
-                    return
-            yield from self._expand_variable_length_iterative(
-                rel_pattern, node_pattern, elements, index, current_node, bindings,
-                used_rels, path_nodes, path_rels, pattern, min_hops, max_hops,
-            )
-            return
-        yield from self._expand_variable_length_naive(
+        route = (
+            self._expand_variable_length_naive
+            if self.naive_paths
+            else self._expand_variable_length_iterative
+        )
+        yield from route(
             rel_pattern, node_pattern, elements, index, current_node, bindings,
             used_rels, path_nodes, path_rels, pattern, min_hops, max_hops,
         )
@@ -1247,49 +1227,6 @@ class QueryExecutor:
                     visited.discard(rel_in.id)
                     hops.pop()
                     trail.pop()
-
-    def _expand_reachability(
-        self, accelerator, rel_pattern, node_pattern, current_node, bindings,
-        min_hops, max_hops,
-    ) -> Iterator[dict]:
-        """Serve the hop from the interval encoding (final segment only).
-
-        Applicability guarantees there is no relationship variable, no
-        named path and nothing after the target node, so each reachable
-        target yields exactly one finished row; the forest shape plus the
-        build DFS's relationship-id child order make the scan's preorder
-        equal to the naive enumerator's emission order.
-        """
-        variable = node_pattern.variable
-        bound = bindings.get(variable) if variable is not None else None
-        if isinstance(bound, Node):
-            # Bound target: one O(1) interval-containment probe ("in"
-            # swaps the roles — the bound node must be the ancestor).
-            if rel_pattern.direction == "out":
-                hit = accelerator.reaches(current_node.id, bound.id, min_hops, max_hops)
-            else:
-                hit = accelerator.reaches(bound.id, current_node.id, min_hops, max_hops)
-            if not hit:
-                return
-            if not self.graph.has_node(bound.id):
-                return
-            refreshed = self.graph.node(bound.id)
-            target_bindings = self._bind_node(node_pattern, refreshed, bindings)
-            if target_bindings is not None:
-                yield target_bindings
-            return
-        if rel_pattern.direction == "out":
-            targets = accelerator.descendants(current_node.id, min_hops, max_hops)
-        else:
-            targets = accelerator.ancestors(current_node.id, min_hops, max_hops)
-        for target_id in targets:
-            if not self.graph.has_node(target_id):
-                continue
-            target_bindings = self._bind_node(
-                node_pattern, self.graph.node(target_id), bindings
-            )
-            if target_bindings is not None:
-                yield target_bindings
 
     def _candidate_nodes(
         self,

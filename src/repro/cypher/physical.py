@@ -34,10 +34,8 @@ Start operators — how a pattern's candidate set is produced
 Pattern operators:
 
 * :class:`Expand` — one fixed relationship hop of a path pattern;
-* :class:`VarLengthExpand` — a ``-[:R*min..max]->`` hop: DFS frontier
-  expansion with relationship-uniqueness, or an interval-containment range
-  scan when a :class:`~repro.paths.accelerator.ReachabilityIndex` applies
-  (``mode`` records which route the planner expects);
+* :class:`VarLengthExpand` — a ``-[:R*min..max]->`` hop: iterative DFS
+  frontier expansion with relationship-uniqueness;
 * :class:`ShortestPath` — a ``shortestPath(...)`` pattern: bidirectional
   BFS when both endpoints are bound, single-source BFS otherwise;
 * :class:`Filter` — a clause-level WHERE predicate (always re-evaluated,
@@ -69,7 +67,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Optional, Union
 
-from ..paths.accelerator import reachability_applicable
 from .ast import (
     Expression,
     NodePattern,
@@ -300,14 +297,8 @@ class VarLengthExpand:
     """A variable-length hop of a path pattern (EXPLAIN bookkeeping).
 
     Like :class:`Expand` this is advisory: the executor walks the pattern
-    elements directly and re-derives the route.  ``mode`` records the
-    strategy the planner expects — ``"dfs"`` for iterative depth-first
-    frontier expansion with relationship-uniqueness, ``"reachability"``
-    when a declared :class:`~repro.paths.accelerator.ReachabilityIndex`
-    covers the hop and the expansion collapses to an interval range scan.
-    The executor may still fall back from ``reachability`` to ``dfs`` at
-    run time (index declined on a non-forest shape, stale applicability),
-    which costs time, never correctness.
+    elements directly, by iterative depth-first frontier expansion with
+    relationship-uniqueness (EXPLAIN's ``dfs``).
     """
 
     types: tuple[str, ...] = ()
@@ -315,24 +306,12 @@ class VarLengthExpand:
     min_hops: Optional[int] = None
     max_hops: Optional[int] = None
     target_labels: tuple[str, ...] = ()
-    mode: str = "dfs"
-    #: For ``mode="reachability"``: the sub-route the accelerator's cost
-    #: model picked at plan time (``"interval"`` or ``"dfs"``) and why.
-    #: Advisory — the index re-decides per start node at run time.
-    route: Optional[str] = None
-    route_reason: Optional[str] = None
     estimated_rows: float = 0.0
 
     def describe(self) -> str:
         spec = _hop_spec(self.types, self.min_hops, self.max_hops, self.direction)
         target = ":" + ":".join(self.target_labels) if self.target_labels else ""
-        mode = self.mode
-        if self.route is not None:
-            mode += f":{self.route} ({self.route_reason})"
-        return (
-            f"VarLengthExpand({spec}({target}), {mode})"
-            + _est(self.estimated_rows)
-        )
+        return f"VarLengthExpand({spec}({target}), dfs)" + _est(self.estimated_rows)
 
 
 @dataclass(frozen=True)
@@ -477,26 +456,6 @@ class Aggregate:
         return f"Aggregate({self.aggregate_text})"
 
 
-def _reachability_route(
-    graph, rel_type: str, rel, hop_cap: int
-) -> tuple[Optional[str], Optional[str]]:
-    """Plan-time (route, reason) annotation for a reachability expansion.
-
-    Builds the index if stale — the first execution would anyway, and a
-    built index is what makes the EXPLAIN annotation deterministic.  The
-    choice stays advisory: :meth:`ReachabilityIndex.descendants` re-runs
-    the cost model per start node.
-    """
-    index = graph.reachability_index(rel_type)
-    if index is None:  # pragma: no cover - applicability already checked
-        return None, None
-    if not index.ensure(graph):
-        return None, None
-    min_hops = rel.min_hops if rel.min_hops is not None else 1
-    max_hops = rel.max_hops if rel.max_hops is not None else hop_cap
-    return index.route_hint(min_hops, max_hops)
-
-
 #: Operators that can appear in a pattern's physical chain.
 PatternOperator = Union[AccessPath, Expand, VarLengthExpand, ShortestPath]
 #: Operators that can join two pattern groups.
@@ -510,8 +469,6 @@ def physical_chain(
     elements,
     estimator,
     pattern=None,
-    graph=None,
-    virtual_labels=(),
     hop_cap: int = 15,
 ) -> tuple[tuple[PatternOperator, ...], float]:
     """Lower a pattern's element sequence into (start, Expand, …) operators.
@@ -520,11 +477,8 @@ def physical_chain(
     the same arithmetic as
     :meth:`repro.graph.statistics.CardinalityEstimator.pattern_cardinality`
     but keeping the running estimate per hop so EXPLAIN can show it.
-    Variable-length hops lower to :class:`VarLengthExpand` (annotated with
-    the reachability-accelerator mode when ``pattern``/``graph`` are given
-    and :func:`repro.paths.accelerator.reachability_applicable` says the
-    declared index covers the hop), a ``shortestPath`` pattern to a single
-    :class:`ShortestPath` operator.
+    Variable-length hops lower to :class:`VarLengthExpand`, a
+    ``shortestPath`` pattern to a single :class:`ShortestPath` operator.
 
     For a ``rel_index`` or ``bound_rel`` start the start already binds the
     first relationship and both its endpoints, so the chain resumes after
@@ -571,16 +525,6 @@ def physical_chain(
             )
             if node.labels:
                 estimate *= estimator.label_fraction(node.labels)
-            mode, route, route_reason = "dfs", None, None
-            if graph is not None and pattern is not None:
-                rel_type = reachability_applicable(
-                    graph, pattern, rel, elements, index, virtual_labels
-                )
-                if rel_type:
-                    mode = "reachability"
-                    route, route_reason = _reachability_route(
-                        graph, rel_type, rel, hop_cap
-                    )
             operators.append(
                 VarLengthExpand(
                     types=rel.types,
@@ -588,9 +532,6 @@ def physical_chain(
                     min_hops=rel.min_hops,
                     max_hops=rel.max_hops,
                     target_labels=node.labels,
-                    mode=mode,
-                    route=route,
-                    route_reason=route_reason,
                     estimated_rows=estimate,
                 )
             )

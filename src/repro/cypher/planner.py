@@ -687,12 +687,7 @@ def _plan_pattern(
         elif all(isinstance(expr, (Literal, Parameter)) for _, expr in start.properties):
             chosen_path = _dc_replace(chosen_path, filter=ScanFilter(start, pushed))
     physical, estimated = physical_chain(
-        chosen_path,
-        chosen_elements,
-        estimator,
-        pattern=pattern,
-        graph=graph,
-        virtual_labels=virtual,
+        chosen_path, chosen_elements, estimator, pattern=pattern
     )
     return PatternPlan(
         pattern=pattern,

@@ -81,7 +81,6 @@ def graph_to_dict(graph: PropertyGraph) -> dict[str, Any]:
         "composite_indexes": [
             [label, list(props)] for label, props in graph.composite_indexes()
         ],
-        "reachability_indexes": list(graph.reachability_indexes()),
     }
 
 
@@ -113,8 +112,6 @@ def graph_from_dict(payload: dict[str, Any]) -> PropertyGraph:
         graph.create_relationship_property_index(rel_type, prop)
     for label, props in payload.get("composite_indexes", ()):
         graph.create_composite_index(label, props)
-    for rel_type in payload.get("reachability_indexes", ()):
-        graph.create_reachability_index(rel_type)
     return graph
 
 

@@ -34,7 +34,6 @@ from .errors import (
     NodeNotFoundError,
     RelationshipNotFoundError,
 )
-from ..paths.accelerator import ReachabilityIndex
 from .delta import (
     OP_ASSIGN_LABEL,
     OP_ASSIGN_PROPERTY,
@@ -81,9 +80,6 @@ class PropertyGraph:
         self._range_index = OrderedPropertyIndex()
         self._rel_property_index = PropertyIndex()
         self._composite_index = CompositeIndex()
-        #: Declared reachability accelerators, one per relationship type
-        #: (see :mod:`repro.paths.accelerator`); rebuilt lazily on use.
-        self._reachability: dict[str, ReachabilityIndex] = {}
         self._outgoing: dict[int, dict[str, list[int]]] = {}
         self._incoming: dict[int, dict[str, list[int]]] = {}
         self._index_epoch = 0
@@ -559,44 +555,6 @@ class PropertyGraph:
         """Entries per distinct value of the (type, prop) index (``None`` if absent)."""
         return self._rel_property_index.selectivity(rel_type, prop)
 
-    # -- reachability accelerator indexes -------------------------------
-
-    def create_reachability_index(self, rel_type: str) -> None:
-        """Declare a reachability accelerator for one relationship type.
-
-        The interval encoding itself is built lazily on first use (and
-        after every invalidating mutation); declaring only registers the
-        type, bumps the plan-invalidating index epoch and logs the DDL.
-        Idempotent like the other index declarations.
-        """
-        if rel_type in self._reachability:
-            return
-        self._reachability[rel_type] = ReachabilityIndex(rel_type)
-        self._index_epoch += 1
-        self._notify_ddl("create", "reachability", rel_type, None)
-
-    def drop_reachability_index(self, rel_type: str) -> None:
-        """Drop a declared reachability accelerator (bumps the index epoch)."""
-        if rel_type not in self._reachability:
-            return
-        del self._reachability[rel_type]
-        self._index_epoch += 1
-        self._notify_ddl("drop", "reachability", rel_type, None)
-
-    def reachability_indexes(self) -> list[str]:
-        """Relationship types with a declared reachability accelerator."""
-        return sorted(self._reachability)
-
-    def reachability_index(self, rel_type: str) -> ReachabilityIndex | None:
-        """The declared accelerator for ``rel_type`` (``None`` if absent)."""
-        return self._reachability.get(rel_type)
-
-    def _touch_reachability(self, rel_type: str) -> None:
-        """Mark the type's accelerator stale after a topology mutation."""
-        accelerator = self._reachability.get(rel_type)
-        if accelerator is not None:
-            accelerator.invalidate()
-
     # ------------------------------------------------------------------
     # mutation primitives
     # ------------------------------------------------------------------
@@ -659,7 +617,6 @@ class PropertyGraph:
         self._rel_types.add(rel_type, rel_id)
         for key, value in props.items():
             self._rel_property_index.add(rel_type, key, value, rel_id)
-        self._touch_reachability(rel_type)
         if self._mutation_listeners:
             self._notify_mutation(OP_CREATE_RELATIONSHIP, None, rel)
         return rel
@@ -696,7 +653,6 @@ class PropertyGraph:
         self._rel_types.remove(rel.type, rel_id)
         for key, value in rel.properties.items():
             self._rel_property_index.remove(rel.type, key, value, rel_id)
-        self._touch_reachability(rel.type)
         if self._mutation_listeners:
             self._notify_mutation(OP_DELETE_RELATIONSHIP, rel, None)
         return rel
@@ -843,9 +799,6 @@ class PropertyGraph:
         self._composite_index = CompositeIndex()
         for label, props in declared_composites:
             self._composite_index.create(label, props)
-        self._reachability = {
-            rel_type: ReachabilityIndex(rel_type) for rel_type in self._reachability
-        }
         if self._mutation_listeners:
             self._notify_mutation(OP_BULK, None, None)
 
@@ -866,8 +819,6 @@ class PropertyGraph:
             clone.create_relationship_property_index(rel_type, prop)
         for label, props in self.composite_indexes():
             clone.create_composite_index(label, props)
-        for rel_type in self.reachability_indexes():
-            clone.create_reachability_index(rel_type)
         return clone
 
     # ------------------------------------------------------------------

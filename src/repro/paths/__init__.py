@@ -1,4 +1,4 @@
-"""Path-query subsystem: variable-length expansion and reachability.
+"""Path-query subsystem: path values and shortest-path searches.
 
 This package holds everything path-shaped that is not tied to one layer of
 the query stack:
@@ -7,25 +7,19 @@ the query stack:
   named path patterns and ``shortestPath``;
 * :mod:`repro.paths.shortest` — deterministic single-source and
   bidirectional shortest-path searches (lexicographic relationship-id
-  tie-break, so every plan computes the identical winner);
-* :mod:`repro.paths.accelerator` — the :class:`ReachabilityIndex`, an
-  XPath-accelerator-style pre/post-order interval encoding of
-  hierarchy-shaped relationship types over the ordered property index,
-  turning ``(a)-[:R*]->(b)`` into a range scan.
+  tie-break, so every plan computes the identical winner).
 
-The executor (:mod:`repro.cypher.executor`) keeps its naive recursive
-enumerator as the differential ground truth; everything here must produce
-the *same rows in the same order*.
+Variable-length ``-[:R*min..max]-`` hops are expanded by the executor
+(:mod:`repro.cypher.executor`) with one iterative DFS walk; its naive
+recursive enumerator stays as the differential ground truth, and both must
+produce the *same rows in the same order*.
 """
 
-from .accelerator import ReachabilityIndex, reachability_applicable
 from .model import Path
 from .shortest import bidirectional_shortest, single_source_shortest
 
 __all__ = [
     "Path",
-    "ReachabilityIndex",
     "bidirectional_shortest",
-    "reachability_applicable",
     "single_source_shortest",
 ]

@@ -53,14 +53,6 @@ _INDEX_METHODS = {
     # Composite-index records carry the property list in the prop field.
     ("create", "composite"): PropertyGraph.create_composite_index,
     ("drop", "composite"): PropertyGraph.drop_composite_index,
-    # Reachability accelerators are keyed by relationship type alone; the
-    # record's prop round-trips as JSON null and is dropped here.
-    ("create", "reachability"): (
-        lambda graph, label, prop: graph.create_reachability_index(label)
-    ),
-    ("drop", "reachability"): (
-        lambda graph, label, prop: graph.drop_reachability_index(label)
-    ),
 }
 
 

@@ -1,5 +1,5 @@
 """Optimizer v2 tests: composite indexes, histogram estimates, ordered
-ORDER BY, connected hash joins and narrow-hop routing.
+ORDER BY, connected hash joins and var-length hop windows over a tree.
 
 Everything the v2 planner adds is advisory — a seek, ordered scan or join
 strategy can only change *how* rows are found, never *which* rows — so the
@@ -316,7 +316,7 @@ class TestConnectedHashJoin:
 
 
 # ---------------------------------------------------------------------------
-# narrow-hop routing through the reachability accelerator
+# var-length hop windows over a deep tree
 # ---------------------------------------------------------------------------
 
 def build_tree(depth: int = 6) -> PropertyGraph:
@@ -335,34 +335,25 @@ def build_tree(depth: int = 6) -> PropertyGraph:
                 next_frontier.append(node)
         frontier = next_frontier
     graph.create_property_index("Part", "pid")
-    graph.create_reachability_index("CHILD")
     return graph
 
 
-class TestNarrowHopRouting:
-    def test_explain_shows_route_and_reason(self):
+class TestTreeHopWindows:
+    def test_explain_shows_the_dfs_walk(self):
         graph = build_tree()
         narrow = explain(
             "MATCH (a:Part {pid: 0})-[:CHILD*1..2]->(x) RETURN count(*) AS n", graph
         )
-        assert "reachability:dfs" in narrow and "hop window ..2 shallow" in narrow
-        broad = explain(
-            "MATCH (a:Part {pid: 0})-[:CHILD*1..12]->(x) RETURN count(*) AS n", graph
-        )
-        assert "reachability:interval" in broad and "covers height-" in broad
+        assert "VarLengthExpand(-[:CHILD*1..2]->(), dfs)" in narrow
 
-    def test_dfs_route_runs_and_matches_every_baseline(self):
+    def test_narrow_window_matches_every_baseline(self):
         graph = build_tree()
-        accelerator = graph.reachability_index("CHILD")
         query = "MATCH (a:Part {pid: 0})-[:CHILD*1..2]->(x) RETURN x.pid AS pid"
         reference = assert_modes_agree(graph, query)
         assert len(reference) == 6  # 2 children + 4 grandchildren
-        assert accelerator.dfs_walks > 0
 
-    def test_broad_window_still_takes_the_interval_scan(self):
+    def test_broad_window_matches_every_baseline(self):
         graph = build_tree()
-        accelerator = graph.reachability_index("CHILD")
         query = "MATCH (a:Part {pid: 0})-[:CHILD*1..12]->(x) RETURN count(*) AS n"
-        rows = execute(graph, query).rows
-        assert rows == [{"n": 2 ** 7 - 2}]
-        assert accelerator.interval_scans > 0
+        assert execute(graph, query).rows == [{"n": 2 ** 7 - 2}]
+        assert_modes_agree(graph, query)

@@ -1,10 +1,9 @@
-"""Path-query subsystem: var-length expansion, shortestPath, reachability index.
+"""Path-query subsystem: var-length expansion and shortestPath.
 
 Covers the Path value type, parser surface (including positioned error
 messages), both expansion routes (naive recursive vs. iterative DFS),
-shortestPath semantics, the XPath-style reachability accelerator (build,
-decline, invalidation), planner/EXPLAIN integration, and persistence of
-reachability-index DDL through snapshots and the WAL.
+var-length hops over a containment tree and a cycle, shortestPath
+semantics, and planner/EXPLAIN integration.
 """
 
 import pytest
@@ -12,8 +11,7 @@ import pytest
 from repro.cypher import QueryExecutor, execute, explain, parse_query
 from repro.cypher.errors import CypherSyntaxError, UnsupportedFeatureError
 from repro.graph import PropertyGraph
-from repro.graph.serialization import graph_from_dict, graph_to_dict
-from repro.paths import Path, ReachabilityIndex
+from repro.paths import Path
 
 
 def names(result, column="name"):
@@ -343,7 +341,7 @@ class TestShortestPath:
 
 
 # ---------------------------------------------------------------------------
-# reachability accelerator
+# var-length hops over a containment tree
 # ---------------------------------------------------------------------------
 
 
@@ -365,27 +363,26 @@ def tree_graph(depth=3, fanout=2):
     return graph, root
 
 
-class TestReachabilityIndex:
-    def test_accelerated_matches_dfs(self):
-        graph, root = tree_graph()
+class TestTreeVarLength:
+    def test_subtree_walk_matches_naive(self):
+        graph, _ = tree_graph()
         query = "MATCH (r {name: 'root'})-[:PART_OF*]->(x) RETURN x.name AS name"
-        plain = names(execute(graph, query))
-        graph.create_reachability_index("PART_OF")
-        accelerated = names(execute(graph, query))
-        assert accelerated == plain  # identical rows in identical order
+        walked = names(execute(graph, query))
+        naive = names(QueryExecutor(graph, naive_paths=True).execute(query))
+        assert walked == naive  # identical rows in identical order
+        assert walked[:3] == ["root.0", "root.0.0", "root.0.0.0"]  # preorder
+        assert len(walked) == 14
 
     def test_hop_window_respected(self):
         graph, _ = tree_graph(depth=3)
-        graph.create_reachability_index("PART_OF")
         result = execute(
             graph,
             "MATCH (r {name: 'root'})-[:PART_OF*2..2]->(x) RETURN x.depth AS depth",
         )
-        assert {row["depth"] for row in result} == {2}
+        assert [row["depth"] for row in result] == [2, 2, 2, 2]
 
-    def test_bound_target_containment_probe(self):
+    def test_bound_target(self):
         graph, _ = tree_graph(depth=3)
-        graph.create_reachability_index("PART_OF")
         result = execute(
             graph,
             "MATCH (r {name: 'root'})-[:PART_OF*]->(x {name: 'root.1.0.1'}) "
@@ -395,76 +392,20 @@ class TestReachabilityIndex:
 
     def test_incoming_direction_walks_ancestors(self):
         graph, _ = tree_graph(depth=3)
-        graph.create_reachability_index("PART_OF")
         result = execute(
             graph,
             "MATCH (x {name: 'root.1.0.1'})<-[:PART_OF*]-(a) RETURN a.name AS name",
         )
         assert names(result) == ["root.1.0", "root.1", "root"]
 
-    def test_mutation_invalidates_and_rebuilds(self):
-        graph, root = tree_graph(depth=2)
-        graph.create_reachability_index("PART_OF")
-        index = graph.reachability_index("PART_OF")
-        assert index.ensure(graph)
-        builds = index.builds
-        leaf = graph.create_node(["Part"], {"name": "extra"})
-        graph.create_relationship("PART_OF", root.id, leaf.id)
-        assert index.dirty
-        result = execute(
-            graph, "MATCH (r {name: 'root'})-[:PART_OF*1..1]->(x) RETURN count(x) AS n"
-        )
-        assert list(result) == [{"n": 3}]
-        assert index.builds == builds + 1
-
-    def test_cycle_declines_to_dfs(self):
+    def test_cycle_walks_each_relationship_once(self):
         graph = PropertyGraph()
         a = graph.create_node(["N"], {"name": "a"})
         b = graph.create_node(["N"], {"name": "b"})
         graph.create_relationship("R", a.id, b.id)
         graph.create_relationship("R", b.id, a.id)
-        graph.create_reachability_index("R")
-        index = graph.reachability_index("R")
-        assert not index.ensure(graph)
-        assert index.declined
-        # the query still answers correctly through the DFS fallback
         result = execute(graph, "MATCH (x {name: 'a'})-[:R*]->(y) RETURN y.name AS name")
         assert names(result) == ["b", "a"]
-
-    def test_parallel_edges_decline(self):
-        graph = PropertyGraph()
-        a = graph.create_node(["N"])
-        b = graph.create_node(["N"])
-        graph.create_relationship("R", a.id, b.id)
-        graph.create_relationship("R", a.id, b.id)
-        index = ReachabilityIndex("R")
-        assert not index.ensure(graph)
-
-    def test_self_loop_declines(self):
-        graph = PropertyGraph()
-        a = graph.create_node(["N"])
-        graph.create_relationship("R", a.id, a.id)
-        index = ReachabilityIndex("R")
-        assert not index.ensure(graph)
-
-    def test_forest_with_multiple_roots(self):
-        graph = PropertyGraph()
-        roots = [graph.create_node(["N"], {"name": f"r{i}"}) for i in range(2)]
-        for i, root in enumerate(roots):
-            child = graph.create_node(["N"], {"name": f"c{i}"})
-            graph.create_relationship("R", root.id, child.id)
-        index = ReachabilityIndex("R")
-        assert index.ensure(graph)
-        assert index.entry_count() == 4
-
-    def test_other_rel_types_do_not_invalidate(self):
-        graph, root = tree_graph(depth=2)
-        graph.create_reachability_index("PART_OF")
-        index = graph.reachability_index("PART_OF")
-        index.ensure(graph)
-        other = graph.create_node(["Other"])
-        graph.create_relationship("UNRELATED", root.id, other.id)
-        assert not index.dirty
 
 
 # ---------------------------------------------------------------------------
@@ -478,32 +419,11 @@ class TestPathPlanning:
         description = explain("MATCH (a)-[:KNOWS*1..3]->(b) RETURN b", graph)
         assert "VarLengthExpand(-[:KNOWS*1..3]->(), dfs)" in description
 
-    def test_explain_switches_to_reachability_mode(self, chain_graph):
-        graph, _ = chain_graph
-        graph.create_reachability_index("KNOWS")
-        description = explain("MATCH (a)-[:KNOWS*]->(b) RETURN b", graph)
-        assert "reachability" in description
-
     def test_explain_names_shortest_path_operator(self, chain_graph):
         graph, _ = chain_graph
         description = explain("MATCH p = shortestPath((a)-[:KNOWS*..4]->(b)) RETURN p", graph)
         assert "ShortestPath(" in description
         assert "bfs" in description
-
-    def test_reachability_requires_index_and_direction(self, chain_graph):
-        graph, _ = chain_graph
-        graph.create_reachability_index("KNOWS")
-        # undirected traversal cannot use the interval encoding
-        description = explain("MATCH (a)-[:KNOWS*]-(b) RETURN b", graph)
-        assert "reachability" not in description
-
-    def test_plan_cache_invalidated_by_reachability_ddl(self, chain_graph):
-        graph, _ = chain_graph
-        before = explain("MATCH (a)-[:KNOWS*]->(b) RETURN b", graph)
-        assert "reachability" not in before
-        graph.create_reachability_index("KNOWS")
-        after = explain("MATCH (a)-[:KNOWS*]->(b) RETURN b", graph)
-        assert "reachability" in after
 
     def test_variable_length_cardinality_estimate(self, chain_graph):
         from repro.graph.statistics import CardinalityEstimator
@@ -513,39 +433,3 @@ class TestPathPlanning:
         estimate = estimator.variable_length_cardinality(("KNOWS",), 1, 3)
         single = estimator.expansion_factor(("KNOWS",))
         assert estimate == pytest.approx(single + single**2 + single**3)
-
-
-# ---------------------------------------------------------------------------
-# persistence of reachability-index DDL
-# ---------------------------------------------------------------------------
-
-
-class TestReachabilityPersistence:
-    def test_snapshot_round_trip(self, chain_graph):
-        graph, _ = chain_graph
-        graph.create_reachability_index("KNOWS")
-        clone = graph_from_dict(graph_to_dict(graph))
-        assert clone.reachability_indexes() == ["KNOWS"]
-
-    def test_drop_removes_from_catalog(self, chain_graph):
-        graph, _ = chain_graph
-        graph.create_reachability_index("KNOWS")
-        graph.drop_reachability_index("KNOWS")
-        assert graph.reachability_indexes() == []
-        assert graph.reachability_index("KNOWS") is None
-
-    def test_copy_preserves_catalog(self, chain_graph):
-        graph, _ = chain_graph
-        graph.create_reachability_index("KNOWS")
-        assert graph.copy().reachability_indexes() == ["KNOWS"]
-
-    def test_wal_replay_restores_index(self, chain_graph):
-        from repro.storage import DurableStore, MemoryIO
-
-        io = MemoryIO()
-        store = DurableStore("/db", io=io)
-        store.open()
-        store.log_index("create", "reachability", "KNOWS", None)
-        store.close()
-        recovered = DurableStore("/db", io=io).open()
-        assert recovered.graph.reachability_indexes() == ["KNOWS"]

@@ -279,6 +279,59 @@ class TestDurableStoreEdges:
         assert recovered.triggers == states
 
 
+class TestRetiredReachabilityRecords:
+    """Stores written while reachability indexes existed still open the
+    way each loader's general rule says, with no case of their own: the
+    WAL rejects an index-DDL kind it does not know, and a snapshot's
+    unknown keys are ignored."""
+
+    QUERY = "MATCH (a {name: 'a'})-[:KNOWS*]->(b) RETURN b.name AS name"
+
+    @staticmethod
+    def chain():
+        graph = PropertyGraph()
+        ids = [graph.create_node(["Person"], {"name": name}).id for name in "abcd"]
+        for start, end in zip(ids, ids[1:]):
+            graph.create_relationship("KNOWS", start, end)
+        return graph
+
+    def test_wal_reachability_ddl_is_an_unknown_record(self):
+        io = MemoryIO()
+        store = DurableStore("/db", io=io)
+        store.open()
+        store.log_index("create", "reachability", "KNOWS", None)
+        store.close()
+        with pytest.raises(RecoveryError, match="unknown index DDL record"):
+            DurableStore("/db", io=io).open()
+
+    def test_snapshot_reachability_catalog_is_ignored(self, monkeypatch):
+        from repro.cypher import execute
+
+        graph = self.chain()
+        expected = execute(graph, self.QUERY).rows
+        assert [row["name"] for row in expected] == ["b", "c", "d"]
+
+        def with_reachability_catalog(graph):
+            payload = graph_to_dict(graph)
+            payload["reachability_indexes"] = ["KNOWS"]
+            return payload
+
+        io = MemoryIO()
+        store = DurableStore("/db", io=io)
+        store.open()
+        monkeypatch.setattr(
+            "repro.storage.store.graph_to_dict", with_reachability_catalog
+        )
+        store.checkpoint(graph, [])
+        monkeypatch.undo()
+        assert b'"reachability_indexes":["KNOWS"]' in io.read_bytes("/db/snapshot.json")
+
+        recovered = DurableStore("/db", io=io).open()
+        assert recovered.snapshot_loaded
+        assert fingerprint(recovered.graph) == fingerprint(graph)
+        assert execute(recovered.graph, self.QUERY).rows == expected
+
+
 def _delta_for(graph):
     """A delta describing 'the first node of ``graph`` was created'."""
     from repro.graph.delta import GraphDelta

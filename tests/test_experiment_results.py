@@ -206,29 +206,6 @@ def part_tree(nodes: int = 364, branching: int = 3) -> PropertyGraph:
     return graph
 
 
-def test_p11_reachability_probe_returns_the_dfs_rows():
-    graph = part_tree()
-    query = (
-        "MATCH (b:Part {pid: 363}) "
-        "MATCH (a:Part {pid: 0})-[:PART_OF*]->(b) RETURN b.pid AS pid"
-    )
-    walked = rows(graph, query)
-    graph.create_reachability_index("PART_OF")
-
-    assert "reachability" in QueryExecutor(graph).plan_description(query)
-    assert rows(graph, query) == walked == [{"pid": 363}]
-
-
-def test_p11_interval_scan_counts_the_dfs_subtree():
-    graph = part_tree()
-    query = "MATCH (a:Part {pid: 3})-[:PART_OF*]->(x) RETURN count(x) AS n"
-    walked = rows(graph, query)
-    graph.create_reachability_index("PART_OF")
-
-    # pid 3 heads a depth-1 subtree of a depth-5 ternary tree: 3 + 9 + 27 + 81 below it
-    assert rows(graph, query) == walked == [{"n": 120}]
-
-
 def test_p11_bidirectional_shortest_path_returns_the_naive_rows():
     graph = part_tree()
     query = (
