@@ -407,6 +407,59 @@ class TestTreeVarLength:
         result = execute(graph, "MATCH (x {name: 'a'})-[:R*]->(y) RETURN y.name AS name")
         assert names(result) == ["b", "a"]
 
+    def test_new_child_appears_in_next_walk(self):
+        graph, root = tree_graph(depth=2)
+        query = "MATCH (r {name: 'root'})-[:PART_OF*1..1]->(x) RETURN count(x) AS n"
+        assert list(execute(graph, query)) == [{"n": 2}]
+        leaf = graph.create_node(["Part"], {"name": "extra"})
+        graph.create_relationship("PART_OF", root.id, leaf.id)
+        assert list(execute(graph, query)) == [{"n": 3}]
+
+    def test_parallel_edges_give_a_path_each(self):
+        graph = PropertyGraph()
+        a = graph.create_node(["N"], {"name": "a"})
+        b = graph.create_node(["N"], {"name": "b"})
+        graph.create_relationship("R", a.id, b.id)
+        graph.create_relationship("R", a.id, b.id)
+        query = "MATCH (x {name: 'a'})-[:R*]->(y) RETURN y.name AS name"
+        walked = names(execute(graph, query))
+        assert walked == ["b", "b"]
+        assert walked == names(QueryExecutor(graph, naive_paths=True).execute(query))
+
+    def test_self_loop_is_walked_once(self):
+        graph = PropertyGraph()
+        a = graph.create_node(["N"], {"name": "a"})
+        graph.create_relationship("R", a.id, a.id)
+        query = "MATCH (x {name: 'a'})-[:R*]->(y) RETURN y.name AS name"
+        assert names(execute(graph, query)) == ["a"]
+
+    def test_forest_with_multiple_roots(self):
+        graph = PropertyGraph()
+        roots = [graph.create_node(["Root"], {"name": f"r{i}"}) for i in range(2)]
+        for i, root in enumerate(roots):
+            child = graph.create_node(["N"], {"name": f"c{i}"})
+            graph.create_relationship("R", root.id, child.id)
+        result = execute(
+            graph, "MATCH (r:Root)-[:R*]->(c) RETURN r.name AS root, c.name AS name"
+        )
+        assert [(row["root"], row["name"]) for row in result] == [("r0", "c0"), ("r1", "c1")]
+
+    def test_other_rel_types_are_not_walked(self):
+        graph, root = tree_graph(depth=2)
+        other = graph.create_node(["Other"], {"name": "other"})
+        graph.create_relationship("UNRELATED", root.id, other.id)
+        walked = names(
+            execute(graph, "MATCH (r {name: 'root'})-[:PART_OF*]->(x) RETURN x.name AS name")
+        )
+        assert "other" not in walked and len(walked) == 6
+        either = names(
+            execute(
+                graph,
+                "MATCH (r {name: 'root'})-[:PART_OF|UNRELATED*1..1]->(x) RETURN x.name AS name",
+            )
+        )
+        assert sorted(either) == ["other", "root.0", "root.1"]
+
 
 # ---------------------------------------------------------------------------
 # planner / EXPLAIN integration
@@ -418,6 +471,18 @@ class TestPathPlanning:
         graph, _ = chain_graph
         description = explain("MATCH (a)-[:KNOWS*1..3]->(b) RETURN b", graph)
         assert "VarLengthExpand(-[:KNOWS*1..3]->(), dfs)" in description
+
+    def test_explain_unbounded_hop_is_a_dfs_walk(self, chain_graph):
+        graph, _ = chain_graph
+        description = explain("MATCH (a)-[:KNOWS*]->(b) RETURN b", graph)
+        assert "VarLengthExpand(-[:KNOWS*1..]->(), dfs)" in description
+
+    def test_explain_undirected_and_incoming_hops_are_dfs_walks(self, chain_graph):
+        graph, _ = chain_graph
+        undirected = explain("MATCH (a)-[:KNOWS*]-(b) RETURN b", graph)
+        assert "VarLengthExpand(-[:KNOWS*1..]-(), dfs)" in undirected
+        incoming = explain("MATCH (a)<-[:KNOWS*2..3]-(b) RETURN b", graph)
+        assert "VarLengthExpand(<-[:KNOWS*2..3]-(), dfs)" in incoming
 
     def test_explain_names_shortest_path_operator(self, chain_graph):
         graph, _ = chain_graph

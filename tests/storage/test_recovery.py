@@ -304,6 +304,15 @@ class TestRetiredReachabilityRecords:
         with pytest.raises(RecoveryError, match="unknown index DDL record"):
             DurableStore("/db", io=io).open()
 
+    def test_wal_reachability_drop_is_an_unknown_record(self):
+        io = MemoryIO()
+        store = DurableStore("/db", io=io)
+        store.open()
+        store.log_index("drop", "reachability", "KNOWS", None)
+        store.close()
+        with pytest.raises(RecoveryError, match="unknown index DDL record"):
+            DurableStore("/db", io=io).open()
+
     def test_snapshot_reachability_catalog_is_ignored(self, monkeypatch):
         from repro.cypher import execute
 

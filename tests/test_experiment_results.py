@@ -206,6 +206,25 @@ def part_tree(nodes: int = 364, branching: int = 3) -> PropertyGraph:
     return graph
 
 
+def test_p11_bound_target_walk_returns_the_naive_rows():
+    graph = part_tree()
+    query = (
+        "MATCH (b:Part {pid: 363}) "
+        "MATCH (a:Part {pid: 0})-[:PART_OF*]->(b) RETURN b.pid AS pid"
+    )
+
+    assert "dfs" in QueryExecutor(graph).plan_description(query)
+    assert rows(graph, query) == rows(graph, query, naive_paths=True) == [{"pid": 363}]
+
+
+def test_p11_subtree_walk_counts_the_naive_subtree():
+    graph = part_tree()
+    query = "MATCH (a:Part {pid: 3})-[:PART_OF*]->(x) RETURN count(x) AS n"
+
+    # pid 3 heads a depth-1 subtree of a depth-5 ternary tree: 3 + 9 + 27 + 81 below it
+    assert rows(graph, query) == rows(graph, query, naive_paths=True) == [{"n": 120}]
+
+
 def test_p11_bidirectional_shortest_path_returns_the_naive_rows():
     graph = part_tree()
     query = (
